@@ -4,7 +4,7 @@
 #   make lint      go vet + advm-vet static analysis of the shipped suite
 #   make race      vet + full test suite under the race detector
 #   make fuzz      short-budget fuzz smoke (assembler lexer, CFG decoder,
-#                  call-graph/stack-depth analysis)
+#                  call-graph/stack-depth analysis, shard frame decoder)
 #   make bench     regenerate the EXPERIMENTS.md benchmarks
 #   make cache     the build-cache benchmarks only (off/cold/warm)
 #   make bench-json  telemetry-overhead benchmarks (E12) -> BENCH_telemetry.json
@@ -13,7 +13,8 @@
 #                  (-deadline/-retries/-quarantine-after/-breaker)
 #   make smoke-served  regression-as-a-service smoke: advm-served daemon
 #                  + advm-regress -serve, certification bundle compared
-#                  byte-for-byte against a direct in-process run
+#                  byte-for-byte against a direct in-process run, also
+#                  with the resilience flags armed over -serve
 #   make smoke-fleet   multi-machine smoke: a TCP daemon plus a second
 #                  advm-served -connect machine joining its pool over
 #                  loopback, bundles cmp-identical to a direct run
@@ -48,13 +49,15 @@ vet:
 lint: vet
 	$(GO) run ./cmd/advm-lint
 
-# Short-budget fuzz smoke: the assembler lexer, the vet CFG decoder, and
-# the whole-program call-graph/stack-depth analysis, FUZZTIME each (CI
-# uses the default 10s; raise it locally for real runs).
+# Short-budget fuzz smoke: the assembler lexer, the vet CFG decoder, the
+# whole-program call-graph/stack-depth analysis, and the shard frame
+# decoder every daemon, worker and client connection reads through,
+# FUZZTIME each (CI uses the default 10s; raise it locally for real runs).
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzLexLine -fuzztime $(FUZZTIME) ./internal/asm
 	$(GO) test -run xxx -fuzz FuzzCFGDecode -fuzztime $(FUZZTIME) ./internal/core/vet
 	$(GO) test -run xxx -fuzz FuzzCallGraph -fuzztime $(FUZZTIME) ./internal/core/vet
+	$(GO) test -run xxx -fuzz FuzzFrameRead -fuzztime $(FUZZTIME) ./internal/core/shard
 
 # The concurrency gate: the regression runner, the build cache's
 # singleflight, and every cached build path run under -race.
@@ -92,7 +95,9 @@ smoke:
 # persistent store behind it, a served run via advm-regress -serve, and
 # a direct in-process run of the same matrix slice — their sealed
 # certification bundles must be byte-identical. A second served run
-# against the warm daemon proves the store survives between requests.
+# against the warm daemon proves the store survives between requests; a
+# third arms deadlines, retries, quarantine, breakers and the live board
+# over -serve, which run in the daemon's scheduler as they do in process.
 smoke-served:
 	rm -rf $(SERVED_DIR) && mkdir -p $(SERVED_DIR)
 	$(GO) build -o $(SERVED_DIR)/ ./cmd/advm-served ./cmd/advm-regress
@@ -107,6 +112,11 @@ smoke-served:
 	$(SERVED_DIR)/advm-regress -serve $(SERVED_DIR)/advm.sock \
 		-platforms golden,emulator -bundle $(SERVED_DIR)/served2.json && \
 	cmp $(SERVED_DIR)/direct.json $(SERVED_DIR)/served2.json && \
+	$(SERVED_DIR)/advm-regress -serve $(SERVED_DIR)/advm.sock \
+		-platforms golden,emulator -deadline 30s -retries 2 \
+		-quarantine-after 2 -breaker 5 -progress \
+		-bundle $(SERVED_DIR)/served3.json && \
+	cmp $(SERVED_DIR)/direct.json $(SERVED_DIR)/served3.json && \
 	echo "smoke-served: direct and served bundles identical"
 
 # Multi-machine fleet smoke: two advm-served processes over loopback

@@ -734,6 +734,10 @@ func RunShardWorker(r io.Reader, w io.Writer, opts ShardWorkerOptions) error {
 	return shard.RunWorker(r, w, opts)
 }
 
+// WriteTriageFile renders one triage artifact into dir (created if
+// needed), the file named after the cell.
+func WriteTriageFile(dir string, t *Triage) error { return regress.WriteTriageFile(dir, t) }
+
 // ShardRegress runs one regression request against the daemon at addr
 // (unix socket path or TCP host:port, with optional "unix:"/"tcp:"
 // scheme prefix) and reassembles the streamed results. onResult, when

@@ -9,6 +9,15 @@
 //	advm-regress -platforms all       # family x all six platforms
 //	advm-regress -derivs SC88-A,SC88-SEC -platforms golden,rtl
 //	advm-regress -journal run.jsonl -history .advm-history -progress
+//	advm-regress -serve /tmp/advm.sock -platforms all -retries 2 -deadline 30s
+//
+// With -serve the matrix runs on an advm-served daemon's worker pool
+// under the same scheduler, so every execution-policy flag (-deadline,
+// -retries, -breaker, -quarantine-after, -triage-dir) and every output
+// (-journal, -progress, -junit, -bundle, -v) means what it means in
+// process. Flags that configure what the daemon owns (-workers, -cache,
+// -run-cache, -store, -history, -pprof) and -trace-out/-metrics-out are
+// refused.
 package main
 
 import (
@@ -52,13 +61,30 @@ func main() {
 	serveAddr := flag.String("serve", "", "run the matrix on an advm-served daemon at this address (unix socket path or host:port) instead of in-process")
 	flag.Parse()
 
-	if *serveAddr != "" {
-		runServed(servedFlags{
-			addr: *serveAddr, label: *label, derivs: *derivs, plats: *plats,
-			engine: *engine, verbose: *verbose, junit: *junit, bundle: *bundle,
-			journalPath: *journalPath,
-		})
-		return
+	// Both modes resolve the flags through one request: in process it
+	// becomes the spec directly, with -serve it travels to the daemon,
+	// which builds the same spec and runs the same scheduler.
+	served := *serveAddr != ""
+	if served {
+		refuseDaemonFlags()
+	}
+	req := advm.ShardRequest{
+		Label: *label, Engine: *engine, DeadlineNs: int64(*deadline), Retries: *retries,
+		Breaker: *breaker, QuarantineAfter: *quarantineAfter, Triage: *triageDir != "",
+	}
+	if *derivs != "all" {
+		for _, name := range strings.Split(*derivs, ",") {
+			req.Derivs = append(req.Derivs, strings.TrimSpace(name))
+		}
+	}
+	if *plats != "all" {
+		for _, name := range strings.Split(*plats, ",") {
+			req.Platforms = append(req.Platforms, strings.TrimSpace(name))
+		}
+	}
+	spec, err := req.Spec()
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	if *pprofAddr != "" {
@@ -70,6 +96,8 @@ func main() {
 		fmt.Printf("pprof serving on http://%s/debug/pprof/\n", *pprofAddr)
 	}
 
+	// A served run freezes the same content locally and sends its epoch:
+	// a daemon frozen on other content refuses the request.
 	sys := advm.StandardSystem()
 	sl, err := advm.FreezeSystem(*label, sys)
 	if err != nil {
@@ -77,56 +105,41 @@ func main() {
 	}
 	fmt.Printf("frozen release: %s\n\n", sl)
 
-	spec := advm.RegressionSpec{Workers: *workers, TriageDir: *triageDir, Deadline: *deadline}
-	eng, err := advm.ParseEngine(*engine)
-	if err != nil {
-		log.Fatal(err)
-	}
-	spec.RunSpec.Engine = eng
-	if *retries > 0 {
-		spec.Retry = advm.RetryPolicy{
-			MaxAttempts: *retries + 1,
-			BaseBackoff: 50 * time.Millisecond,
-			MaxBackoff:  2 * time.Second,
-		}
-	}
-	if *quarantineAfter > 0 {
-		spec.Quarantine = advm.NewQuarantine(*quarantineAfter)
-	}
-	if *breaker > 0 {
-		spec.Breakers = advm.NewBreakerSet(*breaker, 8)
-	}
-	if *cache {
-		spec.Cache = advm.NewBuildCache()
-	}
-	if *runCache {
-		spec.RunCache = advm.NewRunCache()
-	}
+	spec.Workers = *workers
 	var store *advm.ArtifactStore
-	if *storeDir != "" {
-		store, err = advm.OpenArtifactStore(*storeDir, advm.ArtifactStoreOptions{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		advm.AttachArtifactStore(store, spec.Cache, spec.RunCache)
-	}
-	metrics := advm.NewMetricsRegistry()
-	spec.Metrics = metrics
-	if *traceOut != "" {
-		spec.Timeline = advm.NewTimeline()
-	}
 	var hist *advm.HistoryStore
-	if *historyDir != "" {
-		hist, err = advm.OpenHistory(*historyDir)
-		if err != nil {
-			log.Fatal(err)
+	metrics := advm.NewMetricsRegistry()
+	if !served {
+		if *cache {
+			spec.Cache = advm.NewBuildCache()
 		}
-		spec.History = hist
+		if *runCache {
+			spec.RunCache = advm.NewRunCache()
+		}
+		if *storeDir != "" {
+			store, err = advm.OpenArtifactStore(*storeDir, advm.ArtifactStoreOptions{})
+			if err != nil {
+				log.Fatal(err)
+			}
+			advm.AttachArtifactStore(store, spec.Cache, spec.RunCache)
+		}
+		spec.Metrics = metrics
+		if *traceOut != "" {
+			spec.Timeline = advm.NewTimeline()
+		}
+		if *historyDir != "" {
+			hist, err = advm.OpenHistory(*historyDir)
+			if err != nil {
+				log.Fatal(err)
+			}
+			spec.History = hist
+		}
 	}
 	// Flight-record sinks: the file writer, the live board, and (with
 	// -v) a streamer that prints failing cells as they land. All consume
-	// the one record stream, teed. The board draws on stderr and routes
-	// its log lines to stdout, so -progress and -v interleave cleanly.
+	// the one record stream, teed — emitted in process, or streamed back
+	// from the daemon. The board draws on stderr and routes its log lines
+	// to stdout, so -progress and -v interleave cleanly.
 	var sinks []advm.JournalSink
 	var jw *advm.JournalWriter
 	var jf *os.File
@@ -160,32 +173,15 @@ func main() {
 	if len(sinks) > 0 {
 		spec.Journal = advm.TeeJournal(sinks...)
 	}
-	if *derivs != "all" {
-		for _, name := range strings.Split(*derivs, ",") {
-			d, err := advm.DerivativeByName(strings.TrimSpace(name))
-			if err != nil {
-				log.Fatal(err)
-			}
-			spec.Derivatives = append(spec.Derivatives, d)
-		}
-	}
-	if *plats != "all" {
-		for _, name := range strings.Split(*plats, ",") {
-			found := false
-			for _, k := range advm.AllPlatformKinds() {
-				if strings.EqualFold(k.String(), strings.TrimSpace(name)) {
-					spec.Kinds = append(spec.Kinds, k)
-					found = true
-				}
-			}
-			if !found {
-				log.Fatalf("unknown platform %q", name)
-			}
-		}
-	}
 
 	t0 := time.Now()
-	rep, err := advm.Regress(sys, sl, spec)
+	var rep *advm.RegressionReport
+	where := fmt.Sprintf("%d workers", *workers)
+	if served {
+		rep, where, err = runServed(*serveAddr, req, spec.Journal, sl.Epoch())
+	} else {
+		rep, err = advm.Regress(sys, sl, spec)
+	}
 	wall := time.Since(t0)
 	if prog != nil {
 		prog.Done()
@@ -199,7 +195,7 @@ func main() {
 		fmt.Printf("  %-10s %3d cells  build %8.1f ms  run %8.1f ms\n",
 			kt.Kind, kt.Cells, float64(kt.BuildNanos)/1e6, float64(kt.RunNanos)/1e6)
 	}
-	fmt.Printf("wall time: %s (%d workers)\n", wall.Round(time.Millisecond), *workers)
+	fmt.Printf("wall time: %s (%s)\n", wall.Round(time.Millisecond), where)
 	if spec.Cache != nil {
 		fmt.Printf("build cache: %s\n", spec.Cache.Stats())
 	}
@@ -240,11 +236,12 @@ func main() {
 		fmt.Printf("resilience: %d attempts over %d cells (%d retried, %d flaky, %d cancelled), backoff %s\n",
 			attempts, len(rep.Outcomes), retried, flaky, cancelled,
 			time.Duration(backoff).Round(time.Millisecond))
-		if spec.Quarantine != nil {
+		// The daemon owns a served run's quarantine and breakers.
+		if spec.Quarantine != nil && !served {
 			fmt.Printf("quarantine: %d cells benched, %d skipped this run\n",
 				spec.Quarantine.Size(), quarantined)
 		}
-		if spec.Breakers != nil {
+		if spec.Breakers != nil && !served {
 			sum := spec.Breakers.Summary()
 			if sum == "" {
 				sum = "all closed, no trips"
@@ -266,6 +263,18 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("history: %d cells tracked in %s\n", hist.Len(), *historyDir)
+	}
+	if *triageDir != "" {
+		n := 0
+		for _, o := range rep.Outcomes {
+			if o.Triage != nil {
+				if err := advm.WriteTriageFile(*triageDir, o.Triage); err != nil {
+					log.Fatal(err)
+				}
+				n++
+			}
+		}
+		fmt.Printf("triage: %d artifacts written to %s\n", n, *triageDir)
 	}
 	if *junit != "" {
 		f, err := os.Create(*junit)
@@ -339,143 +348,47 @@ func main() {
 	}
 }
 
-// servedFlags is the subset of the flag surface that travels to an
-// advm-served daemon.
-type servedFlags struct {
-	addr, label, derivs, plats, engine string
-	verbose                            bool
-	junit, bundle, journalPath         string
-}
-
-// runServed is the -serve client path: the matrix executes on the
-// daemon's worker pool, and this process reassembles the streamed
-// results into the same report, journal, JUnit, and bundle outputs the
-// in-process run produces. Execution policy (workers, caches, retries,
-// deadlines, triage) belongs to the daemon, so those flags are rejected
-// up front by main.
-func runServed(f servedFlags) {
-	// Local execution-policy flags make no sense against a remote pool;
-	// fail loudly rather than silently ignoring them.
-	incompatible := map[string]string{
-		"workers":          "the daemon's -workers sets the pool size",
-		"cache":            "the daemon's workers own their caches",
-		"run-cache":        "the daemon's workers own their caches",
-		"store":            "pass -store to advm-served instead",
-		"history":          "pass -history to advm-served instead",
-		"triage-dir":       "triage replay is not available over -serve",
-		"deadline":         "per-cell deadlines are not available over -serve",
-		"retries":          "retry policy is not available over -serve",
-		"quarantine-after": "quarantine is not available over -serve",
-		"breaker":          "circuit breakers are not available over -serve",
-		"trace-out":        "the timeline lives in the worker processes",
-		"metrics-out":      "the metrics registry lives in the worker processes",
-		"progress":         "use -v to stream failing cells over -serve",
-		"pprof":            "profile the daemon process instead",
+// refuseDaemonFlags fails loudly on flags that configure what the
+// daemon owns — its pool, caches, store, history and process — rather
+// than silently ignoring them over -serve. -trace-out and -metrics-out
+// wait for a per-cell cost ledger the daemon can stream back.
+func refuseDaemonFlags() {
+	daemonOwned := map[string]string{
+		"workers":     "the daemon's -workers sets the pool size",
+		"cache":       "the daemon's workers own their caches",
+		"run-cache":   "the daemon's workers own their caches",
+		"store":       "pass -store to advm-served instead",
+		"history":     "pass -history to advm-served instead",
+		"pprof":       "profile the daemon process instead",
+		"trace-out":   "the timeline lives in the daemon and its workers",
+		"metrics-out": "the metrics registry lives in the daemon and its workers",
 	}
 	flag.Visit(func(fl *flag.Flag) {
-		if why, ok := incompatible[fl.Name]; ok {
+		if why, ok := daemonOwned[fl.Name]; ok {
 			log.Fatalf("-%s cannot be combined with -serve: %s", fl.Name, why)
 		}
 	})
-	if _, err := advm.ParseEngine(f.engine); err != nil {
-		log.Fatal(err)
-	}
-	req := advm.ShardRequest{Label: f.label, Engine: f.engine}
-	if f.derivs != "all" {
-		for _, name := range strings.Split(f.derivs, ",") {
-			req.Derivs = append(req.Derivs, strings.TrimSpace(name))
-		}
-	}
-	if f.plats != "all" {
-		for _, name := range strings.Split(f.plats, ",") {
-			req.Platforms = append(req.Platforms, strings.TrimSpace(name))
-		}
-	}
+}
 
-	// Freeze the same content locally: if the daemon's epoch differs,
-	// its verdicts describe someone else's sources.
-	sys := advm.StandardSystem()
-	sl, err := advm.FreezeSystem(f.label, sys)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("frozen release: %s\n\n", sl)
-
-	var onResult func(*advm.ShardResult)
-	if f.verbose {
-		onResult = func(r *advm.ShardResult) {
-			o := r.Outcome
-			if !o.Passed {
-				fmt.Printf("FAIL %s/%s on %s/%s (worker %d): %s %s\n",
-					o.Module, o.Test, o.Derivative, o.Platform, r.Worker, o.Reason, o.BuildErr)
+// runServed runs the request on the advm-served daemon at addr, feeding
+// every record the daemon's scheduler emits to sink as cells close, and
+// returns the daemon's report and a note on where it ran. The request
+// carries the local epoch, so a daemon frozen on other content refuses
+// it before any record reaches sink.
+func runServed(addr string, req advm.ShardRequest, sink advm.JournalSink, epoch string) (*advm.RegressionReport, string, error) {
+	req.Epoch = epoch
+	emit := func(recs []advm.JournalRecord) {
+		for _, r := range recs {
+			if sink != nil {
+				sink.Emit(r)
 			}
 		}
 	}
-	t0 := time.Now()
-	reply, err := advm.ShardRegress(f.addr, req, onResult)
-	wall := time.Since(t0)
+	reply, err := advm.ShardRegress(addr, req, func(r *advm.ShardResult) { emit(r.Records) })
 	if err != nil {
-		log.Fatal(err)
+		return nil, "", err
 	}
-	if reply.Plan.Epoch != sl.Epoch() {
-		log.Fatalf("epoch drift: daemon froze %s, local content is %s — results discarded",
-			reply.Plan.Epoch, sl.Epoch())
-	}
-	rep := reply.Report()
-	fmt.Println(rep.Table())
-	fmt.Println(rep.Summary())
-	for _, kt := range rep.TimesByKind() {
-		fmt.Printf("  %-10s %3d cells  build %8.1f ms  run %8.1f ms\n",
-			kt.Kind, kt.Cells, float64(kt.BuildNanos)/1e6, float64(kt.RunNanos)/1e6)
-	}
-	fmt.Printf("wall time: %s (%d worker processes on %s, daemon wall %s)\n",
-		wall.Round(time.Millisecond), reply.Plan.Workers, f.addr,
-		time.Duration(reply.Done.WallNs).Round(time.Millisecond))
-	if f.journalPath != "" {
-		jf, err := os.Create(f.journalPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		jw := advm.NewJournalWriter(jf)
-		for _, r := range reply.Journal {
-			jw.Emit(r)
-		}
-		if err := jw.Close(); err != nil {
-			log.Fatal(err)
-		}
-		if err := jf.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("journal written to %s (%d records); render with advm-report\n", f.journalPath, jw.Count())
-	}
-	if f.junit != "" {
-		out, err := os.Create(f.junit)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := rep.WriteJUnit(out); err != nil {
-			log.Fatal(err)
-		}
-		if err := out.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("junit report written to %s\n", f.junit)
-	}
-	if f.bundle != "" {
-		b, err := advm.Certify(sys, sl, advm.DefaultVetOptions(), rep.BundleCells())
-		if err != nil {
-			log.Fatal(err)
-		}
-		out, err := b.JSON()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(f.bundle, append(out, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("certification bundle written to %s (seal %s..)\n", f.bundle, b.Hash[:12])
-	}
-	if !rep.AllPassed() {
-		os.Exit(1)
-	}
+	emit(reply.Done.Records)
+	return reply.Report(), fmt.Sprintf("%d worker processes on %s, daemon wall %s",
+		reply.Plan.Workers, addr, time.Duration(reply.Done.WallNs).Round(time.Millisecond)), nil
 }

@@ -1,8 +1,12 @@
 // Command advm-served is the regression daemon: it listens on a local
-// socket for regression requests and shards the matrix cells across a
-// pool of workers, streaming each cell's outcome and flight records
-// back to the client as it completes. The process boundary is the
-// isolation: a crashed worker costs one cell, not the run.
+// socket for regression requests and runs each matrix over a pool of
+// workers. It has no scheduler of its own: every request runs the same
+// regress.Run an in-process advm-regress runs — history order, retries,
+// breakers, quarantine, deadlines, triage, the journal — with each
+// attempt of each cell sent to a free worker, and streams the cells'
+// flight records back to the client as they close. The process boundary
+// is the isolation: a crashed or silent worker costs one cell, not the
+// run.
 //
 // The pool spans machines. A daemon on one host accepts requests and
 // runs its local worker processes; other hosts join the same pool with
@@ -22,11 +26,11 @@
 //	advm-served -listen /tmp/advm.sock -workers 4 -store .advm-store
 //	advm-served -listen tcp:0.0.0.0:7777 -workers 4 -store .advm-store
 //	advm-served -connect tcp:daemon-host:7777 -workers 8 -store .advm-local
-//	advm-regress -serve /tmp/advm.sock -platforms all
+//	advm-regress -serve /tmp/advm.sock -platforms all -retries 2 -deadline 30s
 //
 // The daemon re-executes its own binary with -worker for each local
-// pool slot; -worker is internal and speaks the job protocol on
-// stdin/stdout.
+// pool slot; -worker is internal and answers one job — one attempt of
+// one cell — per frame on stdin/stdout.
 package main
 
 import (

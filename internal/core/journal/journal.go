@@ -308,11 +308,10 @@ func ReadFile(path string) ([]Record, error) {
 // volatileKeys are the JSON fields that depend on host wall-clock,
 // process state, or execution shape rather than on the frozen spec:
 // Mask deletes them. Execution-shape fields (seq, workers, and the
-// cache totals) joined the set with the sharded matrix: a cell's
-// verdict is spec-determined, but which worker process ran it, how
-// records interleaved with dropped runtime samples, and which tier a
-// build was served from are not — a sharded run and a serial run of
-// the same frozen spec must mask to identical bytes.
+// cache totals) describe how the matrix was run — how many workers,
+// which worker process, which tier served a build — not what it
+// concluded; a served run and a serial run of the same frozen spec
+// must mask to identical bytes.
 var volatileKeys = []string{
 	"t_ns", "wall", "wall_ns",
 	"build_ns", "run_ns", "backoff_ns",
@@ -322,16 +321,21 @@ var volatileKeys = []string{
 }
 
 // Mask strips the volatile fields from a JSONL journal, drops the
-// runtime-sample records entirely (they describe the host, and their
-// cadence — every 32nd outcome per process — depends on how the matrix
-// was sharded), and re-encodes each surviving line canonically (sorted
-// keys). Two serial runs of the same frozen spec produce byte-identical
-// Mask output, and so do a serial run and a sharded multi-process run
-// dispatching in the same order — the determinism contracts the E17 and
-// E19 acceptance tests enforce, and the form trend comparisons should
-// diff.
+// runtime-sample records entirely (they describe the host), re-encodes
+// each surviving line canonically (sorted keys), and lays the records
+// out in the journal's canonical order: header, the schedule, then each
+// cell's own records in schedule order (each group in its emission
+// order), then the remaining run-level records (breaker transitions,
+// end). A concurrent matrix writes cells in completion order; the mask
+// puts them back, so a journal masks identically whatever the worker
+// count and wherever the cells ran — in process, on a daemon's worker
+// processes, or across a fleet. That is the determinism contract the
+// E17 and E19 acceptance tests enforce, and the form trend comparisons
+// should diff.
 func Mask(data []byte) ([]byte, error) {
-	var out bytes.Buffer
+	var head, tail [][]byte
+	var order []string // cells in schedule order, then first appearance
+	groups := map[string][][]byte{}
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	line := 0
@@ -345,7 +349,8 @@ func Mask(data []byte) ([]byte, error) {
 		if err := json.Unmarshal(raw, &m); err != nil {
 			return nil, fmt.Errorf("journal: mask: line %d: %w", line, err)
 		}
-		if m["kind"] == string(KindRuntime) {
+		kind, _ := m["kind"].(string)
+		if kind == string(KindRuntime) {
 			continue
 		}
 		for _, k := range volatileKeys {
@@ -355,29 +360,37 @@ func Mask(data []byte) ([]byte, error) {
 		if err != nil {
 			return nil, fmt.Errorf("journal: mask: line %d: %w", line, err)
 		}
-		out.Write(enc)
-		out.WriteByte('\n')
+		cell := ""
+		if module, _ := m["module"].(string); module != "" {
+			cell = fmt.Sprint(module, "/", m["test"], "@", m["deriv"], "/", m["platform"])
+			if _, ok := groups[cell]; !ok {
+				order = append(order, cell)
+				groups[cell] = nil
+			}
+		}
+		switch {
+		case kind == string(KindHeader) || kind == string(KindSchedule):
+			head = append(head, enc)
+		case cell == "":
+			tail = append(tail, enc)
+		default:
+			groups[cell] = append(groups[cell], enc)
+		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("journal: mask: %w", err)
 	}
-	return out.Bytes(), nil
-}
-
-// Resequence renumbers a merged record stream with a fresh monotonic
-// Seq, 1..n in slice order. A sharded matrix produces one record
-// sub-stream per worker process, each with its own worker-local
-// sequence; after the daemon's client merges them — schedule records in
-// dispatch order, per-cell groups in dispatch order, each group's
-// records in its worker's emission order (the worker-local Seq is the
-// tiebreak that makes the merge deterministic) — Resequence restores
-// the journal invariant that Seq increases line by line. The input is
-// not mutated.
-func Resequence(recs []Record) []Record {
-	out := make([]Record, len(recs))
-	for i, r := range recs {
-		r.Seq = uint64(i + 1)
-		out[i] = r
+	var out bytes.Buffer
+	write := func(lines [][]byte) {
+		for _, l := range lines {
+			out.Write(l)
+			out.WriteByte('\n')
+		}
 	}
-	return out
+	write(head)
+	for _, cell := range order {
+		write(groups[cell])
+	}
+	write(tail)
+	return out.Bytes(), nil
 }

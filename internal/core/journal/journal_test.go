@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -367,21 +368,53 @@ func TestMaskDropsExecutionShape(t *testing.T) {
 	}
 }
 
-func TestResequence(t *testing.T) {
-	in := []Record{
-		{Kind: KindHeader, Seq: 1},
-		{Kind: KindStart, Seq: 7, Module: "ES1"}, // worker-local numbering
-		{Kind: KindOutcome, Seq: 2, Module: "ES1"},
-		{Kind: KindEnd},
+// TestMaskCanonicalOrder: a journal written in completion order — two
+// workers interleaving their cells' records — masks to the same bytes
+// as the serial journal, with each cell's records grouped in schedule
+// order and the run-level records last.
+func TestMaskCanonicalOrder(t *testing.T) {
+	serial := `{"kind":"header","seq":1,"label":"rel-1","workers":1,"cells":2}
+{"kind":"schedule","seq":2,"module":"A","test":"t2","deriv":"d","platform":"golden"}
+{"kind":"schedule","seq":3,"module":"A","test":"t1","deriv":"d","platform":"golden"}
+{"kind":"start","seq":4,"module":"A","test":"t2","deriv":"d","platform":"golden","attempt":1}
+{"kind":"outcome","seq":5,"module":"A","test":"t2","deriv":"d","platform":"golden","status":"passed"}
+{"kind":"start","seq":6,"module":"A","test":"t1","deriv":"d","platform":"golden","attempt":1}
+{"kind":"cache-hit","seq":7,"module":"A","test":"t1","deriv":"d","platform":"golden"}
+{"kind":"outcome","seq":8,"module":"A","test":"t1","deriv":"d","platform":"golden","status":"failed"}
+{"kind":"end","seq":9,"passed":1,"failed":1}
+`
+	interleaved := `{"kind":"header","seq":1,"label":"rel-1","workers":2,"cells":2}
+{"kind":"schedule","seq":2,"module":"A","test":"t2","deriv":"d","platform":"golden"}
+{"kind":"schedule","seq":3,"module":"A","test":"t1","deriv":"d","platform":"golden"}
+{"kind":"start","seq":4,"module":"A","test":"t1","deriv":"d","platform":"golden","attempt":1}
+{"kind":"start","seq":5,"module":"A","test":"t2","deriv":"d","platform":"golden","attempt":1}
+{"kind":"runtime","seq":6,"goroutines":9}
+{"kind":"cache-hit","seq":7,"module":"A","test":"t1","deriv":"d","platform":"golden"}
+{"kind":"outcome","seq":8,"module":"A","test":"t1","deriv":"d","platform":"golden","status":"failed"}
+{"kind":"outcome","seq":9,"module":"A","test":"t2","deriv":"d","platform":"golden","status":"passed"}
+{"kind":"end","seq":10,"passed":1,"failed":1}
+`
+	m1, err := Mask([]byte(serial))
+	if err != nil {
+		t.Fatal(err)
 	}
-	out := Resequence(in)
-	for i, r := range out {
-		if r.Seq != uint64(i+1) {
-			t.Fatalf("out[%d].Seq = %d, want %d", i, r.Seq, i+1)
+	m2, err := Mask([]byte(interleaved))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(m1) != string(m2) {
+		t.Fatalf("completion order leaked into the mask:\n%s\n--- vs ---\n%s", m1, m2)
+	}
+	var kinds []string
+	for _, line := range strings.Split(strings.TrimSpace(string(m1)), "\n") {
+		var r Record
+		if err := json.Unmarshal([]byte(line), &r); err != nil {
+			t.Fatal(err)
 		}
+		kinds = append(kinds, string(r.Kind)+":"+r.Test)
 	}
-	// Input untouched; payload carried over.
-	if in[1].Seq != 7 || out[1].Module != "ES1" {
-		t.Fatalf("Resequence mutated its input or dropped payload: %+v / %+v", in[1], out[1])
+	want := "header: schedule:t2 schedule:t1 start:t2 outcome:t2 start:t1 cache-hit:t1 outcome:t1 end:"
+	if got := strings.Join(kinds, " "); got != want {
+		t.Fatalf("canonical order = %s\nwant            %s", got, want)
 	}
 }

@@ -120,6 +120,44 @@ func TestJournalSerialRunsAreByteDeterministic(t *testing.T) {
 	}
 }
 
+// TestJournalMaskIndependentOfWorkers: concurrent workers write cells
+// in completion order, and the mask lays them back out in schedule
+// order — so 1, 2 and 4 workers give byte-identical masked journals.
+// This is the in-process half of the contract the served and fleet
+// tests hold across process boundaries.
+func TestJournalMaskIndependentOfWorkers(t *testing.T) {
+	var want []byte
+	for _, workers := range []int{1, 2, 4} {
+		s := content.PortedSystem()
+		sl := freeze(t, s)
+		var buf bytes.Buffer
+		w := journal.NewWriter(&buf)
+		if _, err := Run(s, sl, Spec{
+			Derivatives: derivative.Family()[:2],
+			Kinds:       []platform.Kind{platform.KindGolden, platform.KindEmulator},
+			Workers:     workers,
+			Journal:     w,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := journal.Mask(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		if !bytes.Equal(want, got) {
+			t.Fatalf("masked journal with %d workers differs from the serial one:\n%s\n--- vs ---\n%s",
+				workers, want, got)
+		}
+	}
+}
+
 func TestHistorySchedulerReordersDispatch(t *testing.T) {
 	s := content.PortedSystem()
 	sl := freeze(t, s)

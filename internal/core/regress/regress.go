@@ -27,7 +27,6 @@ import (
 	"repro/internal/core/sysenv"
 	"repro/internal/core/telemetry"
 	"repro/internal/core/vet"
-	"repro/internal/obj"
 	"repro/internal/platform"
 	"repro/internal/predecode"
 	"repro/internal/soc"
@@ -43,10 +42,7 @@ type Spec struct {
 	// Modules restricts to named environments; default: all.
 	Modules []string
 	// Tests restricts to named test IDs within the selected modules;
-	// default: all. The sharded matrix (internal/core/shard) uses a
-	// one-element filter to run exactly one cell through the full
-	// pipeline in a worker process — same enumeration, same journal
-	// shape, zero drift from the in-process path.
+	// default: all.
 	Tests []string
 	// RunSpec bounds each individual run.
 	RunSpec platform.RunSpec
@@ -108,9 +104,10 @@ type Spec struct {
 	// transition, quarantine skip, cache hit, outcome, triage reference,
 	// runtime sample), and a closing end record. A journal.Writer
 	// persists the stream as JSONL; the live -progress board consumes
-	// the same stream through a Tee. Emission order between concurrent
-	// workers is whatever the scheduler did — byte-determinism (modulo
-	// the masked wall-clock fields) holds for serial runs.
+	// the same stream through a Tee. Concurrent workers emit in
+	// completion order; journal.Mask lays each cell's records out in
+	// schedule order, so byte-determinism (modulo the masked fields)
+	// holds at any worker count and on any executor.
 	Journal journal.Sink
 	// History, when non-nil, is the cross-run per-cell time store: the
 	// matrix dispatches cells longest-expected-first from its estimates
@@ -122,9 +119,6 @@ type Spec struct {
 	// executing the same image and attaches a first-divergence artifact
 	// to the outcome (see triage.go).
 	Triage bool
-	// TriageDir, when non-empty, additionally writes each triage
-	// artifact to a file in that directory (implies Triage).
-	TriageDir string
 	// NewPlatform overrides platform instantiation for both the cell run
 	// and the triage replay; nil means platform.New. Fault-injection
 	// harnesses use it to hand the matrix a deliberately broken device.
@@ -138,51 +132,58 @@ type Spec struct {
 	// VetOptions tunes the preflight analyzer; nil means vet.NewOptions
 	// narrowed to the spec's derivatives.
 	VetOptions *vet.Options
+	// Executor runs each attempt of each cell; nil means in this process,
+	// through a Local over Cache, RunCache and NewPlatform. Everything
+	// else — dispatch order, retries, breakers, quarantine, deadlines,
+	// triage, history and the journal — is Run's, whatever the executor:
+	// a shard daemon passes its worker pool here.
+	Executor Executor
 }
 
-// Outcome is one cell of the regression matrix.
+// Outcome is one cell of the regression matrix. It travels as JSON in a
+// served run's done frame.
 type Outcome struct {
-	Module     string
-	Test       string
-	Derivative string
-	Platform   platform.Kind
-	Passed     bool
-	Reason     platform.StopReason
-	MboxResult uint32
-	Cycles     uint64
-	Insts      uint64
+	Module     string              `json:"module"`
+	Test       string              `json:"test"`
+	Derivative string              `json:"deriv"`
+	Platform   platform.Kind       `json:"platform"`
+	Passed     bool                `json:"passed,omitempty"`
+	Reason     platform.StopReason `json:"reason,omitempty"`
+	MboxResult uint32              `json:"mbox_result,omitempty"`
+	Cycles     uint64              `json:"cycles,omitempty"`
+	Insts      uint64              `json:"insts,omitempty"`
 	// BuildNanos is the wall time spent assembling and linking the cell
 	// (near zero on a warm cache); RunNanos the time spent instantiating
 	// the platform and simulating. Together they let the speed ladder
 	// separate build cost from simulation cost.
-	BuildNanos int64
-	RunNanos   int64
+	BuildNanos int64 `json:"build_ns,omitempty"`
+	RunNanos   int64 `json:"run_ns,omitempty"`
 	// BuildErr is non-empty when the cell could not produce a verdict:
 	// assembly or link failure, platform error, or a recovered panic.
-	BuildErr string
-	Detail   string
+	BuildErr string `json:"build_err,omitempty"`
+	Detail   string `json:"detail,omitempty"`
 	// RunCached reports that the outcome was served from Spec.RunCache
 	// (or merged with another worker's in-flight run of the same cell)
 	// instead of being simulated by this cell.
-	RunCached bool
+	RunCached bool `json:"run_cached,omitempty"`
 	// Attempts is how many times the cell ran (1 unless transient
 	// faults were retried; 0 for cells that never ran at all —
 	// cancelled, quarantined, or breaker-skipped).
-	Attempts int
+	Attempts int `json:"attempts,omitempty"`
 	// Flaky reports a cell that failed transiently and then passed on
 	// retry. A flaky cell is never Passed — the paper's regression
 	// discipline wants an answer, not a coin flip — and counts toward
 	// quarantine.
-	Flaky bool
+	Flaky bool `json:"flaky,omitempty"`
 	// Quarantined reports the cell was skipped because earlier runs
 	// benched it as chronically flaky.
-	Quarantined bool
+	Quarantined bool `json:"quarantined,omitempty"`
 	// BackoffNanos is the total wall time this cell spent waiting in
 	// retry backoff (part of RunNanos' wall-clock overhead story).
-	BackoffNanos int64
+	BackoffNanos int64 `json:"backoff_ns,omitempty"`
 	// Triage is the first-divergence artifact for a failing cell when
 	// Spec.Triage was set (nil for passing cells).
-	Triage *Triage
+	Triage *Triage `json:"triage,omitempty"`
 }
 
 // Report is a completed regression.
@@ -203,31 +204,11 @@ type CellCoord struct {
 	Kind   platform.Kind
 }
 
-// EnumerateCells expands a spec into its deterministic cell
-// enumeration — modules × tests × derivatives × platform kinds, in
-// declaration order — without running anything. This is the order
-// Report.Outcomes is indexed by, and the order the sharded matrix's
-// daemon plans and merges in: enumerating in one place is what makes
-// the serial and sharded journals comparable record for record.
-func EnumerateCells(s *sysenv.System, spec Spec) ([]CellCoord, error) {
-	derivs := spec.Derivatives
-	if len(derivs) == 0 {
-		derivs = derivative.Family()
-	}
-	kinds := spec.Kinds
-	if len(kinds) == 0 {
-		kinds = platform.AllKinds()
-	}
-	modules := spec.Modules
-	if len(modules) == 0 {
-		modules = s.Modules()
-	}
-	return enumerate(s, modules, spec.Tests, derivs, kinds)
-}
-
-// enumerate builds the cell list for already-defaulted selections. A
-// Tests filter that matches nothing it names is an error — a sharded
-// job naming a vanished test must fail loudly, not run zero cells.
+// enumerate expands already-defaulted selections into the matrix's
+// deterministic cell enumeration — modules × tests × derivatives ×
+// platform kinds, in declaration order — the order Report.Outcomes is
+// indexed by. A Tests filter that matches nothing it names is an error:
+// a request naming a vanished test must fail loudly, not run zero cells.
 func enumerate(s *sysenv.System, modules, tests []string, derivs []*derivative.Derivative, kinds []platform.Kind) ([]CellCoord, error) {
 	var testFilter map[string]bool
 	if len(tests) > 0 {
@@ -318,21 +299,20 @@ func Run(s *sysenv.System, label *release.SystemLabel, spec Spec) (*Report, erro
 		return nil, err
 	}
 
-	// Bind the cache to the frozen label's content hash: entries written
-	// during this regression are keyed by exactly the content Verify
-	// just attested.
-	bc := sysenv.BuildContext{Cache: spec.Cache, Epoch: label.Epoch(), Metrics: spec.Metrics}
 	if spec.Cache != nil && spec.Metrics != nil {
 		spec.Cache.SetMetrics(spec.Metrics)
 	}
 	if spec.RunCache != nil && spec.Metrics != nil {
 		spec.RunCache.SetMetrics(spec.Metrics)
 	}
-	newPlat := spec.NewPlatform
-	if newPlat == nil {
-		newPlat = platform.New
+	exec := spec.Executor
+	if exec == nil {
+		exec = &Local{System: s, Cache: spec.Cache, RunCache: spec.RunCache,
+			Metrics: spec.Metrics, NewPlatform: spec.NewPlatform}
 	}
-	triage := spec.Triage || spec.TriageDir != ""
+	// Every build and run-cache entry is keyed by exactly the content
+	// Verify just attested.
+	epoch := label.Epoch()
 
 	rep := &Report{Label: label.Name, Started: time.Now(), Vet: vetReport}
 	rep.Outcomes = make([]Outcome, len(cells))
@@ -391,7 +371,7 @@ func Run(s *sysenv.System, label *release.SystemLabel, spec Spec) (*Report, erro
 		}
 		emit(journal.Record{
 			Kind: journal.KindHeader, Version: journal.Version,
-			Label: label.Name, Epoch: label.Epoch(), Workers: ew,
+			Label: label.Name, Epoch: epoch, Workers: ew,
 			Cells: len(cells), Engine: "advm",
 			Wall: rep.Started.UTC().Format(time.RFC3339),
 		})
@@ -430,15 +410,7 @@ func Run(s *sysenv.System, label *release.SystemLabel, spec Spec) (*Report, erro
 			// The outcome is final here — panics included — so this is
 			// where the flight record closes the cell and the history
 			// store learns its times.
-			status := journal.StatusFailed
-			switch {
-			case out.BuildErr != "":
-				status = journal.StatusBroken
-			case out.Flaky:
-				status = journal.StatusFlaky
-			case out.Passed:
-				status = journal.StatusPassed
-			}
+			status := out.status()
 			if spec.Journal != nil {
 				r := cellRec(journal.KindOutcome, c)
 				r.Attempt = out.Attempts
@@ -500,171 +472,129 @@ func Run(s *sysenv.System, label *release.SystemLabel, spec Spec) (*Report, erro
 			spec.Metrics.Counter("resilience.breaker_fastfail").Inc()
 			return
 		}
-		// buildAndRun is the uncached path and the run cache's fill
-		// function: the whole build → instantiate → load → run pipeline
-		// for one attempt at this cell. The run cache keys cells by
-		// (epoch, cell coordinates, kind, config, bounds) — see
-		// runcache.OutcomeKey — so a warm hit skips the build as well as
-		// the simulation. Build and run times accumulate across attempts.
-		var img *obj.Image
-		buildAndRun := func(runSpec platform.RunSpec, attempt int) (*platform.Result, error) {
-			t0 := time.Now()
-			var err error
-			img, err = s.BuildTestWith(bc, c.Module, c.Test, c.Deriv, c.Kind)
-			bn := time.Since(t0).Nanoseconds()
-			out.BuildNanos += bn
-			spec.Metrics.Histogram("regress.build_ns").ObserveNanos(bn)
-			spec.Timeline.Span("build "+cellName, "build", worker, t0, time.Duration(bn),
-				map[string]any{"module": c.Module, "test": c.Test, "deriv": c.Deriv.Name, "platform": c.Kind.String(), "attempt": attempt})
-			if err != nil {
-				return nil, err
+		// attempt hands one try at the cell — or, with triage set, its
+		// first-divergence replay — to the executor, under a deadline
+		// context of its own when the spec sets one, so a wedged platform
+		// stops with StopCancelled instead of hanging the worker.
+		attempt := func(triage bool) AttemptResult {
+			a := Attempt{CellCoord: c, Epoch: epoch, RunSpec: spec.RunSpec, Triage: triage}
+			a.RunSpec.Context = matrixCtx
+			if spec.Deadline > 0 {
+				base := matrixCtx
+				if base == nil {
+					base = context.Background()
+				}
+				var cancel context.CancelFunc
+				a.RunSpec.Context, cancel = context.WithTimeout(base, spec.Deadline)
+				defer cancel()
 			}
-			t1 := time.Now()
-			defer func() {
-				rn := time.Since(t1).Nanoseconds()
-				out.RunNanos += rn
-				spec.Metrics.Histogram("regress.run_ns").ObserveNanos(rn)
-				spec.Timeline.Span("run "+cellName, "run", worker, t1, time.Duration(rn),
-					map[string]any{"platform": c.Kind.String(), "attempt": attempt})
-			}()
-			p, err := newPlat(c.Kind, c.Deriv.HW)
-			if err != nil {
-				return nil, err
-			}
-			if err := p.Load(img); err != nil {
-				return nil, err
-			}
-			return p.Run(runSpec)
+			return exec.Execute(a)
+		}
+		// Attempt loop: transient faults on the physical rungs are
+		// retried with deterministic backoff; everything else — the
+		// deterministic kinds the run cache may serve included — settles
+		// on the first attempt. Build and run times accumulate across
+		// attempts.
+		maxAttempts := 1
+		if resilience.Retryable(c.Kind) {
+			maxAttempts = spec.Retry.Attempts()
 		}
 		var res *platform.Result
 		var err error
-		// The run cache only memoises pure runs: deterministic platform
-		// kinds, stock instantiation (a NewPlatform harness may inject
-		// faults), no observers (trace callbacks and event sinks are side
-		// effects a cached replay would silently drop), and no
-		// cancellation regime — a StopCancelled outcome reflects this
-		// host's deadline, not the image, and must never be replayed.
-		pure := spec.RunCache != nil && spec.NewPlatform == nil &&
-			spec.RunSpec.Trace == nil && spec.RunSpec.Events == nil &&
-			matrixCtx == nil && spec.Deadline == 0
-		if pure && runcache.Cacheable(c.Kind) {
-			tc := time.Now()
-			out.Attempts = 1
+		var firstFault string
+		for n := 1; ; n++ {
+			out.Attempts = n
+			spec.Metrics.Counter("resilience.attempts").Inc()
 			start := cellRec(journal.KindStart, c)
-			start.Attempt = 1
+			start.Attempt = n
 			emit(start)
-			res, out.RunCached, err = spec.RunCache.Do(
-				runcache.OutcomeKey(bc.Epoch, c.Module, c.Test, c.Deriv.Name, c.Kind, c.Deriv.HW, spec.RunSpec),
-				func() (*platform.Result, error) { return buildAndRun(spec.RunSpec, 1) })
-			if out.RunCached {
-				out.RunNanos = time.Since(tc).Nanoseconds()
+			t0 := time.Now()
+			ar := attempt(false)
+			res, err = ar.Result, ar.Err
+			out.BuildNanos += ar.BuildNanos
+			out.RunNanos += ar.RunNanos
+			out.RunCached = ar.RunCached
+			if ar.RunCached {
 				emit(cellRec(journal.KindCacheHit, c))
+			} else {
+				spec.Metrics.Histogram("regress.build_ns").ObserveNanos(ar.BuildNanos)
+				spec.Timeline.Span("build "+cellName, "build", worker, t0, time.Duration(ar.BuildNanos),
+					map[string]any{"module": c.Module, "test": c.Test, "deriv": c.Deriv.Name, "platform": c.Kind.String(), "attempt": n})
+				if ar.RunNanos > 0 {
+					spec.Metrics.Histogram("regress.run_ns").ObserveNanos(ar.RunNanos)
+					spec.Timeline.Span("run "+cellName, "run", worker, t0.Add(time.Duration(ar.BuildNanos)), time.Duration(ar.RunNanos),
+						map[string]any{"platform": c.Kind.String(), "attempt": n})
+				}
 			}
-		} else {
-			if spec.RunCache != nil {
-				spec.RunCache.Bypass()
+			var class resilience.Class
+			if err != nil {
+				class = resilience.ClassifyError(err)
+			} else {
+				class = resilience.ClassifyResult(res)
 			}
-			// Attempt loop: transient faults on the physical rungs are
-			// retried with deterministic backoff; everything else settles
-			// on the first attempt. Each attempt runs under its own
-			// deadline context so a wedged platform stops at Deadline
-			// with StopCancelled instead of hanging the worker.
-			maxAttempts := 1
-			if resilience.Retryable(c.Kind) {
-				maxAttempts = spec.Retry.Attempts()
+			if class == resilience.ClassTransient {
+				brk.OnTransient()
+				spec.Metrics.Counter("resilience.transients").Inc()
+			} else {
+				brk.OnSuccess()
 			}
-			var firstFault string
-			for attempt := 1; ; attempt++ {
-				out.Attempts = attempt
-				spec.Metrics.Counter("resilience.attempts").Inc()
-				start := cellRec(journal.KindStart, c)
-				start.Attempt = attempt
-				emit(start)
-				runSpec := spec.RunSpec
-				var cancel context.CancelFunc
-				if spec.Deadline > 0 {
-					base := matrixCtx
-					if base == nil {
-						base = context.Background()
+			noteBreaker()
+			if class != resilience.ClassTransient || n >= maxAttempts {
+				if class == resilience.ClassPassed && n > 1 {
+					// Fail-then-pass is Flaky, never Passed: the
+					// regression discipline wants an answer, not a coin
+					// flip. Enough flaky runs bench the cell.
+					out.Flaky = true
+					spec.Metrics.Counter("resilience.flaky").Inc()
+					out.Detail = fmt.Sprintf("flaky: passed on attempt %d/%d; attempt 1 failed with %s",
+						n, maxAttempts, firstFault)
+					if spec.Quarantine.RecordFlaky(key) {
+						out.Detail += "; cell quarantined"
 					}
-					runSpec.Context, cancel = context.WithTimeout(base, spec.Deadline)
-				} else {
-					runSpec.Context = matrixCtx
 				}
-				res, err = buildAndRun(runSpec, attempt)
-				if cancel != nil {
-					cancel()
-				}
-				var class resilience.Class
+				break
+			}
+			// Transient fault with retry budget left — unless the whole
+			// matrix is shutting down, in which case settle for what we
+			// have.
+			if matrixCtx != nil && matrixCtx.Err() != nil {
+				break
+			}
+			if firstFault == "" {
 				if err != nil {
-					class = resilience.ClassifyError(err)
+					firstFault = err.Error()
 				} else {
-					class = resilience.ClassifyResult(res)
-				}
-				if class == resilience.ClassTransient {
-					brk.OnTransient()
-					spec.Metrics.Counter("resilience.transients").Inc()
-				} else {
-					brk.OnSuccess()
-				}
-				noteBreaker()
-				if class != resilience.ClassTransient || attempt >= maxAttempts {
-					if class == resilience.ClassPassed && attempt > 1 {
-						// Fail-then-pass is Flaky, never Passed: the
-						// regression discipline wants an answer, not a
-						// coin flip. Enough flaky runs bench the cell.
-						out.Flaky = true
-						spec.Metrics.Counter("resilience.flaky").Inc()
-						out.Detail = fmt.Sprintf("flaky: passed on attempt %d/%d; attempt 1 failed with %s",
-							attempt, maxAttempts, firstFault)
-						if spec.Quarantine.RecordFlaky(key) {
-							out.Detail += "; cell quarantined"
-						}
-					}
-					break
-				}
-				// Transient fault with retry budget left — unless the
-				// whole matrix is shutting down, in which case settle for
-				// what we have.
-				if matrixCtx != nil && matrixCtx.Err() != nil {
-					break
-				}
-				if firstFault == "" {
-					if err != nil {
-						firstFault = err.Error()
-					} else {
-						firstFault = string(res.Reason)
-						if res.Detail != "" {
-							firstFault += " (" + res.Detail + ")"
-						}
+					firstFault = string(res.Reason)
+					if res.Detail != "" {
+						firstFault += " (" + res.Detail + ")"
 					}
 				}
-				d := spec.Retry.Backoff(key, attempt)
-				retry := cellRec(journal.KindRetry, c)
-				retry.Attempt = attempt
-				retry.Class = "transient"
-				retry.BackoffNs = d.Nanoseconds()
-				emit(retry)
-				if d > 0 {
-					tb := time.Now()
-					timer := time.NewTimer(d)
-					if matrixCtx != nil {
-						select {
-						case <-timer.C:
-						case <-matrixCtx.Done():
-							timer.Stop()
-						}
-					} else {
-						<-timer.C
-					}
-					waited := time.Since(tb).Nanoseconds()
-					out.BackoffNanos += waited
-					spec.Metrics.Histogram("resilience.backoff_ns").ObserveNanos(waited)
-					spec.Timeline.Span("backoff "+cellName, "backoff", worker, tb, time.Duration(waited),
-						map[string]any{"attempt": attempt})
-				}
-				spec.Metrics.Counter("resilience.retries").Inc()
 			}
+			d := spec.Retry.Backoff(key, n)
+			retry := cellRec(journal.KindRetry, c)
+			retry.Attempt = n
+			retry.Class = "transient"
+			retry.BackoffNs = d.Nanoseconds()
+			emit(retry)
+			if d > 0 {
+				tb := time.Now()
+				timer := time.NewTimer(d)
+				if matrixCtx != nil {
+					select {
+					case <-timer.C:
+					case <-matrixCtx.Done():
+						timer.Stop()
+					}
+				} else {
+					<-timer.C
+				}
+				waited := time.Since(tb).Nanoseconds()
+				out.BackoffNanos += waited
+				spec.Metrics.Histogram("resilience.backoff_ns").ObserveNanos(waited)
+				spec.Timeline.Span("backoff "+cellName, "backoff", worker, tb, time.Duration(waited),
+					map[string]any{"attempt": n})
+			}
+			spec.Metrics.Counter("resilience.retries").Inc()
 		}
 		if err != nil {
 			out.BuildErr = err.Error()
@@ -678,127 +608,68 @@ func Run(s *sysenv.System, label *release.SystemLabel, spec Spec) (*Report, erro
 		if !out.Flaky {
 			out.Detail = res.Detail
 		}
-		if triage && !out.Passed && !out.Flaky && c.Kind != platform.KindGolden {
-			// Under a fault-injection harness the reference is a pristine
-			// instance of the subject's own kind: cycle-identical, so the
-			// first divergence is the injected fault, not a timing loop.
-			refKind := platform.KindGolden
-			if spec.NewPlatform != nil {
-				refKind = c.Kind
-			}
-			if img == nil {
-				// The failing outcome was served from the run cache, so
-				// this worker never built the image. The build is
-				// deterministic (same epoch, same inputs) and usually a
-				// build-cache hit, so rebuilding for the replay is cheap.
-				var berr error
-				img, berr = s.BuildTestWith(bc, c.Module, c.Test, c.Deriv, c.Kind)
-				if berr != nil {
-					out.Detail = strings.TrimSpace(out.Detail + "\ntriage rebuild failed: " + berr.Error())
-					return
-				}
-			}
+		if spec.Triage && !out.Passed && !out.Flaky && c.Kind != platform.KindGolden {
 			// The replay inherits the cell's run bounds and runs under a
-			// fresh deadline of its own: triaging a hung or
-			// fault-injected cell must not itself hang the worker.
-			tspec := spec.RunSpec
-			if spec.Deadline > 0 {
-				base := matrixCtx
-				if base == nil {
-					base = context.Background()
-				}
-				var tcancel context.CancelFunc
-				tspec.Context, tcancel = context.WithTimeout(base, spec.Deadline)
-				defer tcancel()
-			} else {
-				tspec.Context = matrixCtx
-			}
+			// fresh deadline of its own: triaging a hung or fault-injected
+			// cell must not itself hang the worker.
 			t2 := time.Now()
-			tri, terr := triageCell(img, c.Deriv.HW, c.Kind, refKind, newPlat, tspec)
+			ar := attempt(true)
 			spec.Timeline.Span("triage "+cellName, "triage", worker, t2, time.Since(t2), nil)
-			if terr != nil {
-				out.Detail = strings.TrimSpace(out.Detail + "\ntriage failed: " + terr.Error())
+			if ar.Err != nil {
+				out.Detail = strings.TrimSpace(out.Detail + "\ntriage failed: " + ar.Err.Error())
 				return
 			}
 			spec.Metrics.Counter("regress.triaged").Inc()
+			tri := ar.Triage
 			tri.Module, tri.Test, tri.Derivative = c.Module, c.Test, c.Deriv.Name
 			out.Triage = tri
 			tref := cellRec(journal.KindTriage, c)
 			tref.Ref = tri.Summary()
 			emit(tref)
-			if spec.TriageDir != "" {
-				if werr := writeTriageFile(spec.TriageDir, tri); werr != nil {
-					out.Detail = strings.TrimSpace(out.Detail + "\ntriage write failed: " + werr.Error())
-				}
-			}
 		}
 	}
 
-	workers := spec.Workers
-	if workers <= 1 {
-		spec.Timeline.NameLane(0, "worker-0")
-		for _, i := range order {
-			runCell(0, i)
-		}
-	} else {
-		if workers > len(cells) {
-			workers = len(cells)
-		}
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(worker int) {
-				defer wg.Done()
-				spec.Timeline.NameLane(worker, fmt.Sprintf("worker-%d", worker))
-				for i := range next {
-					runCell(worker, i)
-				}
-			}(w)
-		}
-		// Dispatch watches the matrix context: on cancellation it stops
-		// handing out cells, in-flight cells drain (their per-cell
-		// contexts are children of the matrix context, so they stop
-		// cooperatively), and the pool shuts down without leaking a
-		// goroutine.
-	dispatch:
-		for _, i := range order {
-			if matrixCtx == nil {
-				next <- i
-				continue
+	// The worker pool; a serial run is a pool of one.
+	workers := min(max(spec.Workers, 1), len(cells))
+	var wg sync.WaitGroup
+	next := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(worker int) {
+			defer wg.Done()
+			spec.Timeline.NameLane(worker, fmt.Sprintf("worker-%d", worker))
+			for i := range next {
+				runCell(worker, i)
 			}
-			select {
-			case next <- i:
-			case <-matrixCtx.Done():
-				break dispatch
-			}
+		}(w)
+	}
+	// Dispatch watches the matrix context: on cancellation it stops
+	// handing out cells, in-flight cells drain (their per-cell contexts
+	// are children of the matrix context, so they stop cooperatively),
+	// and the pool shuts down without leaking a goroutine.
+dispatch:
+	for _, i := range order {
+		if matrixCtx == nil {
+			next <- i
+			continue
 		}
-		close(next)
-		wg.Wait()
-		// Cells never dispatched still get a deterministic outcome: the
-		// entry check inside runCell marks them cancelled.
-		for i := range cells {
-			if rep.Outcomes[i].Module == "" {
-				runCell(0, i)
-			}
+		select {
+		case next <- i:
+		case <-matrixCtx.Done():
+			break dispatch
 		}
 	}
-	if spec.Metrics != nil {
-		// Simulator hot-path gauges: process-wide predecoded-fetch totals
-		// as of the end of this regression.
-		ps := predecode.GlobalStats()
-		spec.Metrics.Gauge("predecode.fetches").Set(int64(ps.Hits))
-		spec.Metrics.Gauge("predecode.slow").Set(int64(ps.Slow))
-		spec.Metrics.Gauge("predecode.pages_decoded").Set(int64(ps.PagesDecoded))
-		spec.Metrics.Gauge("predecode.pages_poisoned").Set(int64(ps.PagesPoisoned))
-		ts := translate.GlobalStats()
-		spec.Metrics.Gauge("translate.blocks_built").Set(int64(ts.Built))
-		spec.Metrics.Gauge("translate.blocks_executed").Set(int64(ts.Executed))
-		spec.Metrics.Gauge("translate.blocks_invalidated").Set(int64(ts.Invalidated))
-		spec.Metrics.Gauge("translate.fallback_exits").Set(int64(ts.Fallbacks))
-		if spec.Quarantine != nil {
-			spec.Metrics.Gauge("resilience.quarantine_size").Set(int64(spec.Quarantine.Size()))
+	close(next)
+	wg.Wait()
+	// Cells never dispatched still get a deterministic outcome: the entry
+	// check inside runCell marks them cancelled.
+	for i := range cells {
+		if rep.Outcomes[i].Module == "" {
+			runCell(0, i)
 		}
+	}
+	if spec.Quarantine != nil {
+		spec.Metrics.Gauge("resilience.quarantine_size").Set(int64(spec.Quarantine.Size()))
 	}
 	sampleRuntime()
 	if spec.Journal != nil {
@@ -826,9 +697,9 @@ func Run(s *sysenv.System, label *release.SystemLabel, spec Spec) (*Report, erro
 	return rep, nil
 }
 
-// writeTriageFile renders one triage artifact into dir, creating it if
+// WriteTriageFile renders one triage artifact into dir, creating it if
 // needed. The file name encodes the cell coordinates.
-func writeTriageFile(dir string, t *Triage) error {
+func WriteTriageFile(dir string, t *Triage) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -849,15 +720,6 @@ func writeTriageFile(dir string, t *Triage) error {
 func (r *Report) BundleCells() []release.MatrixCell {
 	out := make([]release.MatrixCell, 0, len(r.Outcomes))
 	for _, o := range r.Outcomes {
-		status := "failed"
-		switch {
-		case o.BuildErr != "":
-			status = "broken"
-		case o.Flaky:
-			status = "flaky"
-		case o.Passed:
-			status = "passed"
-		}
 		detail := o.Detail
 		if o.BuildErr != "" {
 			detail = o.BuildErr
@@ -867,7 +729,7 @@ func (r *Report) BundleCells() []release.MatrixCell {
 			Test:       o.Test,
 			Derivative: o.Derivative,
 			Platform:   o.Platform.String(),
-			Status:     status,
+			Status:     o.status(),
 			Reason:     string(o.Reason),
 			MboxResult: o.MboxResult,
 			Cycles:     o.Cycles,
@@ -876,6 +738,20 @@ func (r *Report) BundleCells() []release.MatrixCell {
 		})
 	}
 	return out
+}
+
+// status is the outcome's journal and bundle status: broken, flaky,
+// passed or failed.
+func (o *Outcome) status() string {
+	switch {
+	case o.BuildErr != "":
+		return journal.StatusBroken
+	case o.Flaky:
+		return journal.StatusFlaky
+	case o.Passed:
+		return journal.StatusPassed
+	}
+	return journal.StatusFailed
 }
 
 // AllPassed reports whether every cell passed.

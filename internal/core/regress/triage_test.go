@@ -65,7 +65,7 @@ func TestTriageNamesInjectedFaultPC(t *testing.T) {
 		Kinds:       []platform.Kind{platform.KindGate},
 		Modules:     []string{"UART"},
 		RunSpec:     platform.RunSpec{MaxInstructions: 60_000},
-		TriageDir:   dir,
+		Triage:      true,
 		Metrics:     metrics,
 		NewPlatform: func(k platform.Kind, cfg soc.HWConfig) (platform.Platform, error) {
 			if k != platform.KindGate {
@@ -112,6 +112,9 @@ func TestTriageNamesInjectedFaultPC(t *testing.T) {
 	}
 
 	// The artifact file must exist and name the same PC.
+	if err := WriteTriageFile(dir, tri); err != nil {
+		t.Fatal(err)
+	}
 	files, err := filepath.Glob(filepath.Join(dir, "triage_*.txt"))
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no triage files written (err=%v)", err)

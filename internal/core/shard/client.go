@@ -3,7 +3,6 @@ package shard
 import (
 	"fmt"
 	"net"
-	"sort"
 	"strings"
 	"time"
 
@@ -11,18 +10,15 @@ import (
 	"repro/internal/core/regress"
 )
 
-// Reply is a completed sharded regression, reassembled client-side into
-// the same shapes the in-process matrix produces.
+// Reply is a completed served regression.
 type Reply struct {
 	Plan *Plan
-	// Outcomes is indexed by the plan's deterministic cell enumeration —
-	// the same order regress.Run's report uses.
+	// Outcomes is the daemon report's, indexed by the deterministic cell
+	// enumeration — the order regress.Run's report uses.
 	Outcomes []regress.Outcome
-	// Journal is the canonical merged flight record: one header, the
-	// schedule in dispatch order, each cell's records in dispatch order
-	// merged by (worker, seq), one end record — resequenced so Seq is
-	// monotonic. Masked, it is byte-identical to the serial run's
-	// masked journal.
+	// Journal is the run's flight record as the daemon's regress.Run
+	// emitted it: cells in completion order. journal.Mask lays it out
+	// canonically; masked, it is byte-identical to a serial run's.
 	Journal []journal.Record
 	Done    Done
 }
@@ -67,9 +63,10 @@ func SplitAddr(addr string) (network, address string) {
 }
 
 // Regress runs one regression request against the daemon at addr and
-// reassembles the streamed results. onResult, when non-nil, observes
-// each cell result as it arrives (completion order, not enumeration
-// order) — the client's progress hook.
+// collects the streamed results. onResult, when non-nil, observes each
+// closed cell as it arrives (completion order) with the records emitted
+// since the previous one — the client's progress hook; the records that
+// follow the last cell arrive in Reply.Done.Records.
 func Regress(addr string, req Request, onResult func(*Result)) (*Reply, error) {
 	nc, err := Dial(addr, 10*time.Second)
 	if err != nil {
@@ -90,16 +87,11 @@ func Regress(addr string, req Request, onResult func(*Result)) (*Reply, error) {
 	if f.Type != FramePlan || f.Plan == nil {
 		return nil, fmt.Errorf("shard: expected plan, got %q", f.Type)
 	}
-	reply := &Reply{
-		Plan:     f.Plan,
-		Outcomes: make([]regress.Outcome, len(f.Plan.Cells)),
-	}
-	groups := make([][]journal.Record, len(f.Plan.Cells))
+	reply := &Reply{Plan: f.Plan}
 	// got tracks per-cell receipt: a duplicate result frame for the same
 	// cell ID must be rejected, not counted — counting it twice would
 	// let the done-frame completeness check pass with other cells never
-	// reported, and the duplicate would silently overwrite the earlier
-	// outcome.
+	// reported.
 	got := make([]bool, len(f.Plan.Cells))
 	seen := 0
 	for {
@@ -110,7 +102,7 @@ func Regress(addr string, req Request, onResult func(*Result)) (*Reply, error) {
 		switch f.Type {
 		case FrameResult:
 			r := f.Result
-			if r == nil || r.ID < 0 || r.ID >= len(reply.Outcomes) {
+			if r == nil || r.ID < 0 || r.ID >= len(got) {
 				return nil, fmt.Errorf("shard: result for unknown cell")
 			}
 			if got[r.ID] {
@@ -118,24 +110,23 @@ func Regress(addr string, req Request, onResult func(*Result)) (*Reply, error) {
 					r.ID, reply.Plan.Cells[r.ID])
 			}
 			got[r.ID] = true
-			o, err := r.Outcome.ToRegress()
-			if err != nil {
-				return nil, err
-			}
-			reply.Outcomes[r.ID] = o
-			groups[r.ID] = r.Records
 			seen++
+			reply.Journal = append(reply.Journal, r.Records...)
 			if onResult != nil {
 				onResult(r)
 			}
 		case FrameError:
 			return nil, fmt.Errorf("shard: daemon error: %s", f.Error)
 		case FrameDone:
-			if seen != len(reply.Outcomes) {
-				return nil, fmt.Errorf("shard: done after %d of %d cells", seen, len(reply.Outcomes))
+			if seen != len(got) {
+				return nil, fmt.Errorf("shard: done after %d of %d cells", seen, len(got))
 			}
+			if f.Done == nil || len(f.Done.Outcomes) != len(got) {
+				return nil, fmt.Errorf("shard: done frame does not report the %d planned cells", len(got))
+			}
+			reply.Outcomes = f.Done.Outcomes
+			reply.Journal = append(reply.Journal, f.Done.Records...)
 			reply.Done = *f.Done
-			reply.Journal = MergeJournal(reply.Plan, groups, *f.Done)
 			return reply, nil
 		default:
 			return nil, fmt.Errorf("shard: unexpected %q frame in result stream", f.Type)
@@ -145,42 +136,15 @@ func Regress(addr string, req Request, onResult func(*Result)) (*Reply, error) {
 
 // Report converts the reply into a regress.Report so every downstream
 // renderer — table, summary, JUnit, certification bundle — works
-// unchanged on a sharded run.
+// unchanged on a served run. Started comes from the run's header record,
+// as the in-process report's does.
 func (r *Reply) Report() *regress.Report {
-	return &regress.Report{Label: r.Plan.Label, Outcomes: r.Outcomes}
-}
-
-// MergeJournal reassembles the canonical flight record from per-cell
-// record groups. Emission order in a live multi-process run is whatever
-// the scheduler did; the merge instead lays cells out in dispatch
-// order — exactly the order a serial run emits them — with each cell's
-// own records ordered by its worker's local sequence, then resequences
-// the whole stream. The result is deterministic per plan: masked, it is
-// byte-identical to the serial run's masked journal, which is the
-// paper's reproducibility check extended across process boundaries.
-func MergeJournal(plan *Plan, groups [][]journal.Record, done Done) []journal.Record {
-	out := []journal.Record{{
-		Kind: journal.KindHeader, Version: journal.Version,
-		Label: plan.Label, Epoch: plan.Epoch, Workers: plan.Workers,
-		Cells: len(plan.Cells), Engine: "advm",
-	}}
-	order := plan.Order()
-	for _, i := range order {
-		c := plan.Cells[i]
-		out = append(out, journal.Record{Kind: journal.KindSchedule,
-			Module: c.Module, Test: c.Test, Deriv: c.Deriv, Platform: c.Platform})
-	}
-	for _, i := range order {
-		if i < 0 || i >= len(groups) {
-			continue
+	rep := &regress.Report{Label: r.Plan.Label, Outcomes: r.Outcomes}
+	for _, rec := range r.Journal {
+		if rec.Kind == journal.KindHeader {
+			rep.Started, _ = time.Parse(time.RFC3339, rec.Wall)
+			break
 		}
-		g := append([]journal.Record(nil), groups[i]...)
-		sort.SliceStable(g, func(a, b int) bool { return g[a].Seq < g[b].Seq })
-		out = append(out, g...)
 	}
-	out = append(out, journal.Record{
-		Kind: journal.KindEnd, Passed: done.Passed, Failed: done.Failed,
-		Broken: done.Broken, Flaky: done.Flaky, WallNs: done.WallNs,
-	})
-	return journal.Resequence(out)
+	return rep
 }

@@ -12,15 +12,11 @@ import (
 	"time"
 
 	"repro/internal/core/buildcache"
-	"repro/internal/core/derivative"
 	"repro/internal/core/history"
 	"repro/internal/core/journal"
 	"repro/internal/core/regress"
 	"repro/internal/core/release"
-	"repro/internal/core/resilience"
 	"repro/internal/core/sysenv"
-	"repro/internal/core/vet"
-	"repro/internal/platform"
 )
 
 // DefaultRequestTimeout bounds how long an accepted connection may sit
@@ -33,30 +29,33 @@ const (
 	pingMissFactor        = 4
 )
 
-// Daemon shards regression requests across a pool of workers: local
+// Daemon serves regression requests over a pool of workers: local
 // worker processes it spawns itself, plus any remote workers that
-// register over TCP (advm-served -connect). It owns the matrix-level
-// decisions — freezing the release label, running the vet preflight
-// once, enumerating cells, dispatching longest-expected-first from its
-// history store — and leaves each cell's build and run to a worker.
+// register over TCP (advm-served -connect). It is a router, not a
+// scheduler: each request runs regress.Run with the pool as its
+// executor, so freezing, the vet preflight, enumeration, history order,
+// retries, breakers, quarantine, deadlines, triage and verdict counts
+// are the in-process matrix's own code, and each cell's attempts travel
+// to whichever worker is free.
 //
-// Requests are concurrent: every request feeds the same dispatch queue
-// and the pool interleaves cells from all active requests, with results
-// routed back to their request by (request ID, cell ID). Each request's
-// journal merge is unchanged — per-cell record groups laid out in that
-// request's dispatch order — so the masked journal stays byte-identical
-// to a serial run regardless of what else shared the pool.
+// Requests are concurrent: every request's attempts feed the same
+// dispatch queue and the pool interleaves them, with results routed back
+// to their request by (request ID, job ID). The masked journal of each
+// stays byte-identical to a serial run regardless of what else shared
+// the pool, because journal.Mask restores the canonical record order.
 //
 // Crash isolation is the point of the process boundary: a local worker
 // that dies (OOM, a platform model segfaulting through cgo, a kill -9)
-// costs exactly its in-flight cell, which is reported broken while a
-// replacement worker takes over the queue. A remote machine that
-// vanishes (network partition, power loss) is detected by missed
-// heartbeats and costs only its in-flight cells; the local pool is the
-// liveness floor that always drains the queue.
+// or never answers within its job's deadline costs exactly its in-flight
+// cell, which is reported broken while a replacement worker takes over
+// the queue. A remote machine that vanishes (network partition, power
+// loss) is detected by missed heartbeats and costs only its in-flight
+// cells; the local pool is the liveness floor that always drains the
+// queue.
 type Daemon struct {
-	// NewSystem constructs the daemon's module environments (for
-	// freezing, vet, and enumeration — the daemon never builds a cell).
+	// NewSystem constructs the daemon's module environments, which each
+	// request freezes and schedules over (the daemon never builds a
+	// cell).
 	NewSystem func() *sysenv.System
 	// Workers is the local worker-process pool size (minimum 1 — the
 	// local pool guarantees the dispatch queue always drains even if
@@ -67,8 +66,9 @@ type Daemon struct {
 	// normally the daemon binary re-executing itself with a -worker
 	// flag.
 	WorkerCommand func(id int) *exec.Cmd
-	// History, when non-nil, orders dispatch longest-expected-first and
-	// learns each completed cell's times (saved after every request).
+	// History, when non-nil, is every request's regress.Spec.History:
+	// dispatch runs longest-expected-first and learns each completed
+	// cell's times (saved after every request).
 	History *history.Store
 	// Store, when non-nil, is served to store-role connections so
 	// remote workers warm-start from (and fill back) the daemon's
@@ -94,11 +94,12 @@ type Daemon struct {
 	slots  atomic.Int64 // pool size, for Plan.Workers
 }
 
-// task is one cell queued for dispatch: the job plus the owning
-// request's reply channel (buffered for the whole request, so no
-// consumer ever blocks delivering a result).
+// task is one attempt queued for dispatch: the job, how long to wait for
+// its answer (0 = for ever), and the reply channel (buffered, so no pool
+// loop ever blocks delivering a result).
 type task struct {
 	job  *Job
+	wait time.Duration
 	done chan *Result
 }
 
@@ -137,8 +138,7 @@ func (d *Daemon) requestTimeout() time.Duration {
 }
 
 // freezeSystem snapshots every module environment and composes a system
-// label — the advm.FreezeSystem recipe, shared by daemon and worker so
-// both sides derive the epoch the same way.
+// label — the advm.FreezeSystem recipe.
 func freezeSystem(name string, s *sysenv.System) (*release.SystemLabel, error) {
 	var subs []*release.Label
 	for _, e := range s.Envs() {
@@ -173,10 +173,6 @@ func (d *Daemon) Start() error {
 	if d.WorkerCommand == nil {
 		return fmt.Errorf("shard: daemon needs a WorkerCommand")
 	}
-	label, err := freezeSystem(HelloLabel, d.NewSystem())
-	if err != nil {
-		return fmt.Errorf("shard: freeze probe label: %w", err)
-	}
 	n := d.Workers
 	if n < 1 {
 		n = 1
@@ -195,9 +191,10 @@ func (d *Daemon) Start() error {
 		}
 		procs[i] = w
 	}
+	epoch := d.NewSystem().ContentEpoch()
 	d.mu.Lock()
 	d.started = true
-	d.helloEpoch = label.Epoch()
+	d.helloEpoch = epoch
 	d.remotes = make(map[string]*remoteWorker)
 	d.mu.Unlock()
 	d.queue = make(chan *task)
@@ -270,7 +267,7 @@ func (d *Daemon) slotLoop(slot int, w *workerProc) {
 					continue
 				}
 			}
-			res, err := runOn(w, t.job)
+			res, err := runOn(w, t)
 			if err != nil {
 				d.logf("worker %d crashed on %s: %v", slot, t.job.Cell, err)
 				res = brokenResult(slot, t.job, "worker crashed: "+err.Error())
@@ -439,7 +436,7 @@ func (d *Daemon) remoteLoop(rw *remoteWorker) {
 		case <-rw.dead:
 			return
 		case t := <-d.queue:
-			res, err := d.runOnRemote(rw, t.job)
+			res, err := d.runOnRemote(rw, t)
 			if err != nil {
 				d.logf("remote worker %s lost on %s: %v", rw.name, t.job.Cell, err)
 				t.done <- brokenResult(-1, t.job, "remote worker lost: "+err.Error())
@@ -451,12 +448,24 @@ func (d *Daemon) remoteLoop(rw *remoteWorker) {
 }
 
 // runOnRemote sends one job to a remote worker and waits for its result
-// frame, bounded by the heartbeat deadline the read loop enforces.
-func (d *Daemon) runOnRemote(rw *remoteWorker, job *Job) (*Result, error) {
+// frame, bounded by the heartbeat deadline the read loop enforces and by
+// the job's own wait.
+func (d *Daemon) runOnRemote(rw *remoteWorker, t *task) (*Result, error) {
+	job := t.job
 	if err := rw.conn.Write(Frame{Type: FrameJob, Job: job}); err != nil {
 		return nil, err
 	}
+	var expired <-chan time.Time
+	if t.wait > 0 {
+		timer := time.NewTimer(t.wait)
+		defer timer.Stop()
+		expired = timer.C
+	}
 	select {
+	case <-expired:
+		rw.err.Store("no reply within the job deadline")
+		rw.nc.Close() // a late reply would desync the stream
+		return nil, fmt.Errorf("no reply within %s", t.wait)
 	case <-rw.dead:
 		if s, ok := rw.err.Load().(string); ok {
 			return nil, fmt.Errorf("%s", s)
@@ -527,10 +536,10 @@ func payloadSum(data []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// handleRequest serves one client regression: request in, plan + result
-// stream + done out. Pre-flight failures (bad names, vet findings,
-// unfrozen content) are an error frame, not a half-run matrix. Requests
-// run concurrently; the shared pool interleaves their cells.
+// handleRequest serves one client regression: the request becomes a
+// regress.Spec, regress.Run schedules it over the pool, and the run's
+// flight records stream back as cells close. Refusals (bad names, vet
+// findings, unfrozen content) are an error frame, not a half-run matrix.
 func (d *Daemon) handleRequest(conn *Conn, req *Request) {
 	fail := func(err error) {
 		d.logf("request failed: %v", err)
@@ -547,29 +556,8 @@ func (d *Daemon) handleRequest(conn *Conn, req *Request) {
 		fail(fmt.Errorf("shard: request needs a label"))
 		return
 	}
-	start := time.Now()
-
-	// Matrix-level setup, once per request: resolve names, freeze,
-	// preflight, enumerate, order.
-	var derivs []*derivative.Derivative
-	for _, name := range req.Derivs {
-		dv, err := derivative.ByName(name)
-		if err != nil {
-			fail(err)
-			return
-		}
-		derivs = append(derivs, dv)
-	}
-	var kinds []platform.Kind
-	for _, name := range req.Platforms {
-		k, err := ParseKind(name)
-		if err != nil {
-			fail(err)
-			return
-		}
-		kinds = append(kinds, k)
-	}
-	if _, err := platform.ParseEngine(req.Engine); err != nil {
+	spec, err := req.Spec()
+	if err != nil {
 		fail(err)
 		return
 	}
@@ -579,157 +567,183 @@ func (d *Daemon) handleRequest(conn *Conn, req *Request) {
 		fail(err)
 		return
 	}
-	if !req.SkipVet {
-		opts := vet.NewOptions()
-		if len(derivs) > 0 {
-			opts.Derivatives = derivs
-		}
-		if _, err := release.Preflight(sys, label, opts); err != nil {
-			fail(err)
-			return
-		}
+	if req.Epoch != "" && req.Epoch != label.Epoch() {
+		fail(fmt.Errorf("epoch drift: daemon froze %s, client content is %s", label.Epoch(), req.Epoch))
+		return
 	}
-	cells, err := regress.EnumerateCells(sys, regress.Spec{
-		Derivatives: derivs, Kinds: kinds,
-		Modules: req.Modules, Tests: req.Tests,
-	})
+	r := &request{d: d, id: d.reqSeq.Add(1), conn: conn, ids: map[string]int{}, workers: map[string]int{}}
+	spec.Executor = r
+	spec.History = d.History
+	spec.Journal = r
+	spec.Workers = d.PoolSize()
+	start := time.Now()
+	rep, err := regress.Run(sys, label, spec)
 	if err != nil {
 		fail(err)
 		return
-	}
-	plan := &Plan{
-		Label: req.Label, Epoch: label.Epoch(), Workers: int(d.slots.Load()),
-		Cells: make([]CellID, len(cells)),
-	}
-	keys := make([]string, len(cells))
-	kindNames := make([]string, len(cells))
-	for i, c := range cells {
-		plan.Cells[i] = CellID{Module: c.Module, Test: c.Test,
-			Deriv: c.Deriv.Name, Platform: c.Kind.String()}
-		keys[i] = resilience.CellKey(c.Module, c.Test, c.Deriv.Name, c.Kind)
-		kindNames[i] = c.Kind.String()
-	}
-	if d.History != nil {
-		plan.Dispatch = d.History.Order(keys, kindNames)
-	}
-	if err := conn.Write(Frame{Type: FramePlan, Plan: plan}); err != nil {
-		d.logf("write plan: %v", err)
-		return
-	}
-	reqID := d.reqSeq.Add(1)
-	d.logf("request %d %s: %d cells across %d workers", reqID, req.Label, len(cells), plan.Workers)
-
-	// Dispatch: feed the shared queue in plan order and collect results
-	// as the pool completes them. The results channel is buffered for
-	// the whole request, so pool loops never block on a slow client.
-	order := plan.Order()
-	results := make(chan *Result, len(order))
-	go func() {
-		for _, idx := range order {
-			t := &task{
-				job: &Job{
-					ID: idx, Req: reqID, Label: req.Label, Epoch: plan.Epoch,
-					Cell:            plan.Cells[idx],
-					MaxInstructions: req.MaxInstructions,
-					MaxCycles:       req.MaxCycles,
-					Engine:          req.Engine,
-				},
-				done: results,
-			}
-			select {
-			case d.queue <- t:
-			case <-d.quit:
-				// The pool is gone; answer the remaining cells
-				// ourselves so the collector can finish.
-				results <- brokenResult(-1, t.job, "daemon shutting down")
-			}
-		}
-	}()
-	var done Done
-	for received := 0; received < len(order); received++ {
-		res := <-results
-		o := res.Outcome
-		switch {
-		case o.BuildErr != "":
-			done.Broken++
-		case o.Passed:
-			done.Passed++
-		default:
-			done.Failed++
-		}
-		if o.Flaky {
-			done.Flaky++
-		}
-		if d.History != nil && o.Attempts > 0 && !o.RunCached && o.BuildErr == "" {
-			status := journal.StatusFailed
-			switch {
-			case o.Flaky:
-				status = journal.StatusFlaky
-			case o.Passed:
-				status = journal.StatusPassed
-			}
-			d.History.Record(keys[res.ID], kindNames[res.ID], o.BuildNanos, o.RunNanos, status)
-		}
-		if err := conn.Write(Frame{Type: FrameResult, Result: res}); err != nil {
-			d.logf("write result: %v", err)
-		}
 	}
 	if d.History != nil {
 		if err := d.History.Save(); err != nil {
 			d.logf("history save: %v", err)
 		}
 	}
-	done.WallNs = time.Since(start).Nanoseconds()
-	if err := conn.Write(Frame{Type: FrameDone, Done: &done}); err != nil {
-		d.logf("write done: %v", err)
-	}
+	done := &Done{Flaky: rep.CountFlaky(), WallNs: time.Since(start).Nanoseconds(), Outcomes: rep.Outcomes}
+	done.Passed, done.Failed, done.Broken = rep.Counts()
+	r.finish(done)
 	d.logf("request %d %s: %d passed, %d failed, %d broken in %s",
-		reqID, req.Label, done.Passed, done.Failed, done.Broken, time.Duration(done.WallNs))
+		r.id, req.Label, done.Passed, done.Failed, done.Broken, time.Duration(done.WallNs))
+}
+
+// request is one client regression in flight. It is the run's Executor —
+// each attempt becomes a job on the daemon's shared queue, answered by
+// whichever worker takes it — and its journal Sink, which sends every
+// record to the client batched into one result frame per closed cell,
+// after a plan frame built from the run's header and schedule.
+type request struct {
+	d    *Daemon
+	id   uint64
+	conn *Conn
+	jobs atomic.Int64
+
+	mu      sync.Mutex
+	plan    *Plan
+	ids     map[string]int // cell → index in plan.Cells
+	workers map[string]int // cell → pool slot that ran its last attempt
+	buf     []journal.Record
+	sent    bool  // plan frame written
+	err     error // first client write error
+}
+
+// Execute implements regress.Executor.
+func (r *request) Execute(a regress.Attempt) regress.AttemptResult {
+	job := &Job{
+		ID: int(r.jobs.Add(1)), Req: r.id, Epoch: a.Epoch,
+		Cell:            CellID{Module: a.Module, Test: a.Test, Deriv: a.Deriv.Name, Platform: a.Kind.String()},
+		MaxInstructions: a.RunSpec.MaxInstructions, MaxCycles: a.RunSpec.MaxCycles,
+		Engine: a.RunSpec.Engine.String(), Triage: a.Triage,
+	}
+	t := &task{job: job, done: make(chan *Result, 1)}
+	if ctx := a.RunSpec.Context; ctx != nil {
+		if dl, ok := ctx.Deadline(); ok {
+			// The worker stops the run at the deadline itself; past twice
+			// that (and a second for the answer to travel), it is wedged.
+			left := time.Until(dl)
+			job.DeadlineNs, t.wait = left.Nanoseconds(), 2*left+time.Second
+		}
+	}
+	var res *Result
+	select {
+	case r.d.queue <- t:
+		res = <-t.done
+	case <-r.d.quit:
+		res = brokenResult(-1, job, "daemon shutting down")
+	}
+	r.mu.Lock()
+	r.workers[job.Cell.String()] = res.Worker
+	r.mu.Unlock()
+	return res.Run.attemptResult()
+}
+
+// Emit implements journal.Sink.
+func (r *request) Emit(rec journal.Record) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	switch rec.Kind {
+	case journal.KindHeader:
+		r.plan = &Plan{Label: rec.Label, Epoch: rec.Epoch, Workers: r.d.PoolSize()}
+	case journal.KindSchedule:
+		r.ids[rec.CellID()] = len(r.plan.Cells)
+		r.plan.Cells = append(r.plan.Cells,
+			CellID{Module: rec.Module, Test: rec.Test, Deriv: rec.Deriv, Platform: rec.Platform})
+	}
+	r.buf = append(r.buf, rec)
+	if rec.Kind != journal.KindOutcome {
+		return
+	}
+	worker, ran := r.workers[rec.CellID()]
+	if !ran {
+		worker = -1
+	}
+	r.sendPlan()
+	r.write(Frame{Type: FrameResult, Result: &Result{ID: r.ids[rec.CellID()], Req: r.id,
+		Worker: worker, Records: r.buf}})
+	r.buf = nil
+}
+
+// finish closes the stream with the done frame, carrying the records
+// emitted after the last cell closed.
+func (r *request) finish(done *Done) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.sendPlan()
+	done.Records, r.buf = r.buf, nil
+	r.write(Frame{Type: FrameDone, Done: done})
+}
+
+func (r *request) sendPlan() {
+	if !r.sent {
+		r.sent = true
+		r.write(Frame{Type: FramePlan, Plan: r.plan})
+	}
+}
+
+// write sends one frame. A vanished client does not stop the matrix —
+// its results still reach the history store — but only the first write
+// error is logged.
+func (r *request) write(f Frame) {
+	if r.err != nil {
+		return
+	}
+	if r.err = r.conn.Write(f); r.err != nil {
+		r.d.logf("request %d: client gone: %v", r.id, r.err)
+	}
 }
 
 // runOn sends one job to a local worker and waits for its result. Any
-// transport error — including the worker dying mid-cell — is returned
-// for the caller to translate into a broken cell.
-func runOn(w *workerProc, job *Job) (*Result, error) {
-	if err := w.conn.Write(Frame{Type: FrameJob, Job: job}); err != nil {
+// transport error — the worker dying mid-cell, or killed for not
+// answering within the task's wait — is returned for the caller to
+// translate into a broken cell.
+func runOn(w *workerProc, t *task) (*Result, error) {
+	var timer *time.Timer
+	if t.wait > 0 {
+		timer = time.AfterFunc(t.wait, func() { w.cmd.Process.Kill() })
+	}
+	// killed stops the timer and reports whether it had already fired.
+	// Once it has, the worker is (or is about to be) dead even if an
+	// answer raced the kill, so the caller must respawn it either way.
+	killed := func() bool { return timer != nil && !timer.Stop() }
+	if err := w.conn.Write(Frame{Type: FrameJob, Job: t.job}); err != nil {
+		killed()
 		return nil, err
 	}
 	f, err := w.conn.Read()
+	if killed() {
+		return nil, fmt.Errorf("no reply within %s; worker killed", t.wait)
+	}
 	if err != nil {
 		return nil, err
 	}
-	return checkResult(f, job)
+	return checkResult(f, t.job)
 }
 
 // checkResult validates that a frame is the result for exactly the job
 // in flight: with concurrent requests sharing the pool, a worker that
-// echoes the wrong (request, cell) pair has desynced its stream and
-// must be treated as crashed, never routed to the wrong request.
+// echoes the wrong (request, job) pair has desynced its stream and must
+// be treated as crashed, never routed to the wrong request.
 func checkResult(f Frame, job *Job) (*Result, error) {
-	if f.Type != FrameResult || f.Result == nil {
+	if f.Type != FrameResult || f.Result == nil || f.Result.Run == nil {
 		return nil, fmt.Errorf("shard: worker sent %q, want result", f.Type)
 	}
 	if f.Result.Req != job.Req || f.Result.ID != job.ID {
-		return nil, fmt.Errorf("shard: worker answered req %d cell %d, want req %d cell %d",
+		return nil, fmt.Errorf("shard: worker answered req %d job %d, want req %d job %d",
 			f.Result.Req, f.Result.ID, job.Req, job.ID)
 	}
 	return f.Result, nil
 }
 
-// brokenResult manufactures the deterministic outcome for a cell whose
-// worker died under it, with a synthesized outcome record so the merged
-// flight record still closes every cell.
+// brokenResult manufactures the answer for a job whose worker died or
+// went silent under it: the attempt fails with msg, which the scheduler
+// reports as the cell's BuildErr.
 func brokenResult(worker int, job *Job, msg string) *Result {
-	return &Result{ID: job.ID, Req: job.Req, Worker: worker,
-		Outcome: Outcome{
-			Module: job.Cell.Module, Test: job.Cell.Test,
-			Derivative: job.Cell.Deriv, Platform: job.Cell.Platform,
-			BuildErr: msg,
-		},
-		Records: []journal.Record{{
-			Kind: journal.KindOutcome, Module: job.Cell.Module, Test: job.Cell.Test,
-			Deriv: job.Cell.Deriv, Platform: job.Cell.Platform,
-			Status: journal.StatusBroken, BuildErr: msg,
-		}},
-	}
+	return &Result{ID: job.ID, Req: job.Req, Worker: worker, Run: &Run{Err: msg}}
 }

@@ -26,8 +26,8 @@ type ConnectOptions struct {
 }
 
 // ConnectWorker dials a remote daemon, registers this process as a pool
-// worker with a FrameHello handshake — the worker's frozen probe epoch
-// is cross-checked at the door, so content drift fails at registration
+// worker with a FrameHello handshake — the worker's content epoch is
+// cross-checked at the door, so content drift fails at registration
 // rather than per job — and then serves jobs off the connection until
 // the daemon closes it. Heartbeat pings flow from a side goroutine even
 // while a cell is running, so the daemon can tell a long-running cell
@@ -37,10 +37,6 @@ func ConnectWorker(addr string, opts ConnectOptions) error {
 	wk, err := newWorker(opts.WorkerOptions)
 	if err != nil {
 		return err
-	}
-	label, err := wk.freeze(HelloLabel)
-	if err != nil {
-		return fmt.Errorf("shard: freeze probe label: %w", err)
 	}
 	ping := opts.Ping
 	if ping <= 0 {
@@ -57,7 +53,7 @@ func ConnectWorker(addr string, opts ConnectOptions) error {
 	defer nc.Close()
 	conn := NewConn(nc, nc)
 	if err := handshakeHello(conn, &Hello{
-		Role: RoleWorker, Name: opts.Name, Epoch: label.Epoch(), PingNs: int64(ping),
+		Role: RoleWorker, Name: opts.Name, Epoch: wk.epoch, PingNs: int64(ping),
 	}); err != nil {
 		return err
 	}

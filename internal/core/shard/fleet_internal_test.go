@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/platform"
 )
 
 // newTestRemote wires a remoteWorker around one end of a net.Pipe and
@@ -43,8 +45,8 @@ func TestRemoteDeadlineBreaksInFlightCell(t *testing.T) {
 		if res.ID != 7 || res.Req != 3 {
 			t.Fatalf("broken result routed to wrong cell: %+v", res)
 		}
-		if !strings.Contains(res.Outcome.BuildErr, "remote worker lost") {
-			t.Fatalf("outcome = %q, want a remote-worker-lost breakage", res.Outcome.BuildErr)
+		if !strings.Contains(res.Run.Err, "remote worker lost") {
+			t.Fatalf("attempt error = %q, want a remote-worker-lost breakage", res.Run.Err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("cell never broke: heartbeat deadline did not fire")
@@ -83,16 +85,15 @@ func TestRemoteHeartbeatKeepsLongCellAlive(t *testing.T) {
 		}
 		fc.Write(Frame{Type: FrameResult, Result: &Result{
 			ID: f.Job.ID, Req: f.Job.Req, Worker: 9,
-			Outcome: Outcome{Module: "M", Test: "T", Derivative: "d",
-				Platform: "golden", Passed: true},
+			Run: &Run{Result: &platform.Result{Reason: platform.StopHalt, MboxDone: true, MboxResult: 0x600D}},
 		}})
 	}()
 	results := make(chan *Result, 1)
 	d.queue <- &task{job: &Job{ID: 1, Req: 2, Cell: CellID{Module: "M", Test: "T"}}, done: results}
 	select {
 	case res := <-results:
-		if res.Outcome.BuildErr != "" || !res.Outcome.Passed {
-			t.Fatalf("long cell on a pinging machine broke: %+v", res.Outcome)
+		if ar := res.Run.attemptResult(); ar.Err != nil || !ar.Result.Passed() {
+			t.Fatalf("long cell on a pinging machine broke: %+v", res.Run)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("result never arrived")
@@ -116,7 +117,7 @@ func TestRemoteMisroutedResultPoisonsWorker(t *testing.T) {
 		if f, err := fc.Read(); err == nil && f.Type == FrameJob {
 			fc.Write(Frame{Type: FrameResult, Result: &Result{
 				ID: f.Job.ID + 1, Req: f.Job.Req, Worker: 9,
-				Outcome: Outcome{Passed: true},
+				Run: &Run{Result: &platform.Result{Reason: platform.StopHalt, MboxDone: true, MboxResult: 0x600D}},
 			}})
 		}
 	}()
@@ -124,8 +125,8 @@ func TestRemoteMisroutedResultPoisonsWorker(t *testing.T) {
 	d.queue <- &task{job: &Job{ID: 4, Req: 8, Cell: CellID{Module: "M", Test: "T"}}, done: results}
 	select {
 	case res := <-results:
-		if !strings.Contains(res.Outcome.BuildErr, "remote worker lost") {
-			t.Fatalf("misrouted result was not treated as a lost worker: %+v", res.Outcome)
+		if !strings.Contains(res.Run.Err, "remote worker lost") {
+			t.Fatalf("misrouted result was not treated as a lost worker: %+v", res.Run)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("cell never broke on the desynced stream")

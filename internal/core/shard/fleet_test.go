@@ -332,9 +332,8 @@ func twoCellPlan(label string) *shard.Plan {
 }
 
 func cellResult(id int, test string) *shard.Result {
-	return &shard.Result{ID: id, Outcome: shard.Outcome{
-		Module: "A", Test: test, Derivative: "d", Platform: "golden", Passed: true,
-	}}
+	return &shard.Result{ID: id, Records: []journal.Record{{Kind: journal.KindOutcome,
+		Module: "A", Test: test, Deriv: "d", Platform: "golden", Status: journal.StatusPassed}}}
 }
 
 // TestDuplicateResultRejected: a second result frame for the same cell

@@ -1,8 +1,13 @@
 // Package shard lifts the regression matrix across the process
-// boundary: a serialisable cell-job protocol, a daemon that shards
-// cells over N worker processes, and a client that reassembles their
-// streamed results into the same report and flight record the
-// in-process pool produces.
+// boundary. It adds no scheduler of its own: a daemon runs
+// regress.Run — the one scheduler, with its retries, breakers,
+// quarantine, deadlines, triage, history order and journal — over an
+// Executor that sends each attempt of each cell to a pool of workers:
+// local worker processes it spawns, plus remote machines that register
+// over TCP. A worker runs the attempt through regress.Local, the same
+// code the in-process matrix runs, and answers with what it measured.
+// The daemon streams the run's flight records to the client as cells
+// close and ends with the report.
 //
 // The protocol is JSONL frames over any byte stream — a unix or TCP
 // socket between client and daemon, stdin/stdout pipes between daemon
@@ -10,8 +15,8 @@
 //
 //	client → daemon:  request
 //	daemon → client:  plan, result*, done   (or error)
-//	daemon → worker:  job*
-//	worker → daemon:  result*
+//	daemon → worker:  job*                  (one attempt of one cell)
+//	worker → daemon:  result*               (exactly one per job)
 //
 // Fleet extensions (the multi-machine phase): a remote process opens a
 // TCP connection and registers with a hello frame — role "worker" joins
@@ -36,13 +41,17 @@ package shard
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
 	"sync"
+	"time"
 
+	"repro/internal/core/derivative"
 	"repro/internal/core/journal"
 	"repro/internal/core/regress"
+	"repro/internal/core/resilience"
 	"repro/internal/platform"
 )
 
@@ -55,7 +64,7 @@ const (
 	FrameDone    = "done"
 	FrameError   = "error"
 	// Fleet frames: a remote process introduces itself with a hello
-	// (role + frozen probe epoch), the daemon answers with a welcome,
+	// (role + content epoch), the daemon answers with a welcome,
 	// and the remote side pings periodically so a vanished machine is
 	// distinguishable from a long-running cell.
 	FrameHello   = "hello"
@@ -79,13 +88,6 @@ const (
 	RoleStore = "store"
 )
 
-// HelloLabel is the well-known release-label name both sides of a
-// registration freeze to cross-check content at handshake time, before
-// any request label exists. Epochs are content hashes over the frozen
-// module environments, so two processes that agree on this probe epoch
-// will agree on every per-request epoch too.
-const HelloLabel = "advm-fleet-hello"
-
 // Frame is the one-of JSONL envelope: Type selects which payload field
 // is set.
 type Frame struct {
@@ -102,9 +104,9 @@ type Frame struct {
 }
 
 // Hello registers a remote connection with the daemon. Epoch is the
-// sender's frozen probe epoch under HelloLabel; the daemon refuses a
-// worker whose content disagrees with its own at the door, instead of
-// per-job after cells have been planned onto it.
+// sender's content epoch — the hash every frozen label of its module
+// environments carries; the daemon refuses a worker whose content
+// disagrees with its own at the door, instead of per job.
 type Hello struct {
 	Role string `json:"role"`
 	// Name identifies the remote machine/slot in daemon logs.
@@ -115,7 +117,7 @@ type Hello struct {
 	PingNs int64 `json:"ping_ns,omitempty"`
 }
 
-// Welcome acknowledges a hello, echoing the daemon's own probe epoch.
+// Welcome acknowledges a hello, echoing the daemon's own content epoch.
 type Welcome struct {
 	Epoch string `json:"epoch,omitempty"`
 }
@@ -135,7 +137,8 @@ type StoreFrame struct {
 // Request asks the daemon for one regression matrix. Selections are
 // by name (the client may not share memory with the daemon); empty
 // slices mean the matrix defaults (whole family, all platforms, all
-// modules and tests).
+// modules and tests). The execution policy fields carry the values of
+// advm-regress's flags of the same names.
 type Request struct {
 	// Label is the release-label name the daemon freezes the matrix
 	// under.
@@ -151,6 +154,65 @@ type Request struct {
 	Engine string `json:"engine,omitempty"`
 	// SkipVet disables the daemon's static-analysis preflight gate.
 	SkipVet bool `json:"skip_vet,omitempty"`
+	// DeadlineNs is the per-attempt wall-clock budget (0 = unbounded).
+	DeadlineNs int64 `json:"deadline_ns,omitempty"`
+	// Retries is the extra attempts a transiently failing cell on a
+	// physical kind gets.
+	Retries int `json:"retries,omitempty"`
+	// Breaker opens a physical kind's circuit breaker after this many
+	// consecutive transient failures (0 = off).
+	Breaker int `json:"breaker,omitempty"`
+	// QuarantineAfter benches a cell after this many flaky runs within
+	// the request (0 = off).
+	QuarantineAfter int `json:"quarantine_after,omitempty"`
+	// Triage replays each failing cell against a reference; the
+	// artifacts come back in the report's outcomes.
+	Triage bool `json:"triage,omitempty"`
+	// Epoch, when set, is the content epoch the client froze locally:
+	// a daemon whose own freeze differs refuses the request before
+	// running or sending anything, since its verdicts would describe
+	// someone else's sources.
+	Epoch string `json:"epoch,omitempty"`
+}
+
+// Spec resolves the request into the regression spec it asks for:
+// selections, run bounds and execution policy. Caches, history, the
+// journal and the executor are the runner's to add. advm-regress builds
+// its in-process spec the same way, so a flag means the same thing in
+// both modes.
+func (r *Request) Spec() (regress.Spec, error) {
+	spec := regress.Spec{
+		Modules: r.Modules, Tests: r.Tests, SkipVet: r.SkipVet,
+		Deadline: time.Duration(r.DeadlineNs),
+		// A tripped breaker fast-fails 8 cells before a half-open probe.
+		Breakers:   resilience.NewBreakerSet(r.Breaker, 8),
+		Quarantine: resilience.NewQuarantine(r.QuarantineAfter),
+		Triage:     r.Triage,
+	}
+	if r.Retries > 0 {
+		spec.Retry = resilience.RetryPolicy{MaxAttempts: r.Retries + 1,
+			BaseBackoff: 50 * time.Millisecond, MaxBackoff: 2 * time.Second}
+	}
+	for _, name := range r.Derivs {
+		d, err := derivative.ByName(name)
+		if err != nil {
+			return spec, err
+		}
+		spec.Derivatives = append(spec.Derivatives, d)
+	}
+	for _, name := range r.Platforms {
+		k, err := ParseKind(name)
+		if err != nil {
+			return spec, err
+		}
+		spec.Kinds = append(spec.Kinds, k)
+	}
+	eng, err := platform.ParseEngine(r.Engine)
+	if err != nil {
+		return spec, err
+	}
+	spec.RunSpec = platform.RunSpec{MaxInstructions: r.MaxInstructions, MaxCycles: r.MaxCycles, Engine: eng}
+	return spec, nil
 }
 
 // CellID names one matrix cell on the wire.
@@ -166,123 +228,109 @@ func (c CellID) String() string {
 	return c.Module + "/" + c.Test + "@" + c.Deriv + "/" + c.Platform
 }
 
-// Plan is the daemon's answer to a request, sent before any cell runs:
-// the frozen epoch, the worker count, the deterministic cell
-// enumeration, and the dispatch permutation (longest-expected-first
-// when the daemon's history store is warm, identity when cold).
+// Plan opens a daemon's answer to a request, before any result: the
+// frozen epoch, the pool size, and the cells in dispatch order (the run's
+// schedule records). Result IDs index Cells.
 type Plan struct {
-	Label    string   `json:"label"`
-	Epoch    string   `json:"epoch"`
-	Workers  int      `json:"workers"`
-	Cells    []CellID `json:"cells"`
-	Dispatch []int    `json:"dispatch,omitempty"`
+	Label   string   `json:"label"`
+	Epoch   string   `json:"epoch"`
+	Workers int      `json:"workers"`
+	Cells   []CellID `json:"cells"`
 }
 
-// Order returns the dispatch permutation, defaulting to enumeration
-// order.
-func (p *Plan) Order() []int {
-	if len(p.Dispatch) == len(p.Cells) {
-		return p.Dispatch
-	}
-	order := make([]int, len(p.Cells))
-	for i := range order {
-		order[i] = i
-	}
-	return order
-}
-
-// Job dispatches one cell to a worker process.
+// Job asks a worker for one attempt of one cell.
 type Job struct {
-	// ID is the cell's enumeration index in the plan.
+	// ID numbers the job within its request.
 	ID int `json:"id"`
-	// Req is the daemon-assigned request ID the cell belongs to. With
+	// Req is the daemon-assigned request ID the job belongs to. With
 	// concurrent requests interleaving across one pool, the worker
-	// echoes it into the result and the daemon routes the result back
-	// to its request by (Req, ID) — a mismatched echo is a protocol
-	// desync and treated like a crash.
-	Req   uint64 `json:"req,omitempty"`
-	Label string `json:"label"`
+	// echoes (Req, ID) into its result, and a mismatched echo is a
+	// protocol desync, treated like a crash.
+	Req uint64 `json:"req,omitempty"`
 	// Epoch is the daemon's frozen-spec epoch; the worker verifies its
-	// own frozen system reproduces it before running.
+	// own system reproduces it before running.
 	Epoch           string `json:"epoch"`
 	Cell            CellID `json:"cell"`
 	MaxInstructions uint64 `json:"max_instructions,omitempty"`
 	MaxCycles       uint64 `json:"max_cycles,omitempty"`
 	Engine          string `json:"engine,omitempty"`
+	// DeadlineNs is what is left of the attempt's deadline; Triage asks
+	// for the cell's first-divergence replay instead of a run.
+	DeadlineNs int64 `json:"deadline_ns,omitempty"`
+	Triage     bool  `json:"triage,omitempty"`
 }
 
-// Outcome is the wire form of regress.Outcome: platform kind and stop
-// reason as strings, wall-clock fields included (the report renders
-// them; the masked journal strips them).
-type Outcome struct {
-	Module     string `json:"module"`
-	Test       string `json:"test"`
-	Derivative string `json:"deriv"`
-	Platform   string `json:"platform"`
-	Passed     bool   `json:"passed"`
-	Reason     string `json:"reason,omitempty"`
-	MboxResult uint32 `json:"mbox_result,omitempty"`
-	Cycles     uint64 `json:"cycles,omitempty"`
-	Insts      uint64 `json:"insts,omitempty"`
-	BuildNanos int64  `json:"build_ns,omitempty"`
-	RunNanos   int64  `json:"run_ns,omitempty"`
-	BuildErr   string `json:"build_err,omitempty"`
-	Detail     string `json:"detail,omitempty"`
-	RunCached  bool   `json:"run_cached,omitempty"`
-	Attempts   int    `json:"attempts,omitempty"`
-	Flaky      bool   `json:"flaky,omitempty"`
+// Run is a worker's answer to a job: the wire form of
+// regress.AttemptResult, timed in the worker.
+type Run struct {
+	Result *platform.Result `json:"result,omitempty"`
+	// Err is the attempt's error; Transient marks a
+	// resilience.TransientError, which the scheduler retries.
+	Err        string          `json:"err,omitempty"`
+	Transient  bool            `json:"transient,omitempty"`
+	BuildNanos int64           `json:"build_ns,omitempty"`
+	RunNanos   int64           `json:"run_ns,omitempty"`
+	Cached     bool            `json:"cached,omitempty"`
+	Triage     *regress.Triage `json:"triage,omitempty"`
 }
 
-// FromOutcome converts a matrix outcome to its wire form.
-func FromOutcome(o regress.Outcome) Outcome {
-	return Outcome{
-		Module: o.Module, Test: o.Test, Derivative: o.Derivative,
-		Platform: o.Platform.String(),
-		Passed:   o.Passed, Reason: string(o.Reason),
-		MboxResult: o.MboxResult, Cycles: o.Cycles, Insts: o.Insts,
-		BuildNanos: o.BuildNanos, RunNanos: o.RunNanos,
-		BuildErr: o.BuildErr, Detail: o.Detail,
-		RunCached: o.RunCached, Attempts: o.Attempts, Flaky: o.Flaky,
+// fromAttempt converts an attempt result to its wire form.
+func fromAttempt(ar regress.AttemptResult) *Run {
+	r := &Run{BuildNanos: ar.BuildNanos, RunNanos: ar.RunNanos, Cached: ar.RunCached, Triage: ar.Triage}
+	if ar.Err != nil {
+		r.Err, r.Transient = ar.Err.Error(), resilience.IsTransient(ar.Err)
 	}
-}
-
-// ToRegress converts a wire outcome back to the matrix form.
-func (o Outcome) ToRegress() (regress.Outcome, error) {
-	k, err := ParseKind(o.Platform)
-	if err != nil {
-		return regress.Outcome{}, err
+	if ar.Result != nil {
+		// The scheduler reads the verdict fields only; the console,
+		// checkpoints and final state stay in the worker.
+		res := *ar.Result
+		res.Console, res.Checkpoints, res.State = "", nil, nil
+		r.Result = &res
 	}
-	return regress.Outcome{
-		Module: o.Module, Test: o.Test, Derivative: o.Derivative,
-		Platform: k,
-		Passed:   o.Passed, Reason: platform.StopReason(o.Reason),
-		MboxResult: o.MboxResult, Cycles: o.Cycles, Insts: o.Insts,
-		BuildNanos: o.BuildNanos, RunNanos: o.RunNanos,
-		BuildErr: o.BuildErr, Detail: o.Detail,
-		RunCached: o.RunCached, Attempts: o.Attempts, Flaky: o.Flaky,
-	}, nil
+	return r
 }
 
-// Result reports one completed cell: the outcome plus the cell's
-// journal records (start/cache-hit/outcome and any retries), each
-// stamped with the worker's local sequence — the (worker, seq) pair the
-// client merges by.
+// attemptResult converts a worker's answer back. A transient error
+// keeps its class across the wire, and its message is unchanged.
+func (r *Run) attemptResult() regress.AttemptResult {
+	ar := regress.AttemptResult{Result: r.Result, BuildNanos: r.BuildNanos, RunNanos: r.RunNanos,
+		RunCached: r.Cached, Triage: r.Triage}
+	switch {
+	case r.Transient:
+		ar.Err = resilience.Transient(errors.New(strings.TrimPrefix(r.Err, "transient: ")))
+	case r.Err != "":
+		ar.Err = errors.New(r.Err)
+	case r.Result == nil && r.Triage == nil:
+		ar.Err = errors.New("shard: worker answered with neither a result nor an error")
+	}
+	return ar
+}
+
+// Result is one of two answers. From a worker it answers a job: Run is
+// the attempt. From the daemon it closes cell ID of the plan: Records
+// are the flight records the run emitted since the previous result —
+// that cell's, and any other cell's still in flight — and Worker is the
+// pool slot that ran the cell's last attempt (-1 if it never ran).
 type Result struct {
 	ID int `json:"id"`
 	// Req echoes the job's request ID (see Job.Req).
 	Req     uint64           `json:"req,omitempty"`
 	Worker  int              `json:"worker"`
-	Outcome Outcome          `json:"outcome"`
+	Run     *Run             `json:"run,omitempty"`
 	Records []journal.Record `json:"records,omitempty"`
 }
 
-// Done closes a daemon's result stream with the verdict counts.
+// Done closes a daemon's result stream: the verdict counts, the
+// report's outcomes in enumeration order, and the records the run
+// emitted after its last cell closed (the end record among them).
 type Done struct {
-	Passed int   `json:"passed"`
-	Failed int   `json:"failed"`
-	Broken int   `json:"broken"`
-	Flaky  int   `json:"flaky"`
-	WallNs int64 `json:"wall_ns"`
+	Passed   int               `json:"passed"`
+	Failed   int               `json:"failed"`
+	Broken   int               `json:"broken"`
+	Flaky    int               `json:"flaky"`
+	WallNs   int64             `json:"wall_ns"`
+	Outcomes []regress.Outcome `json:"outcomes,omitempty"`
+	Records  []journal.Record  `json:"records,omitempty"`
 }
 
 // ParseKind resolves a platform-kind name from the wire. Every kind on

@@ -1,24 +1,25 @@
 package shard
 
 import (
+	"context"
 	"fmt"
 	"io"
+	"time"
 
 	"repro/internal/core/buildcache"
 	"repro/internal/core/derivative"
-	"repro/internal/core/journal"
 	"repro/internal/core/regress"
-	"repro/internal/core/release"
 	"repro/internal/core/runcache"
 	"repro/internal/core/sysenv"
 	"repro/internal/platform"
+	"repro/internal/soc"
 )
 
 // WorkerOptions configures one worker (a local pool subprocess or a
 // remote TCP slot).
 type WorkerOptions struct {
-	// ID is the worker's index in the daemon's pool; stamped into every
-	// Result so the client can merge journal streams by (worker, seq).
+	// ID is the worker's index in the daemon's pool, stamped into every
+	// result.
 	ID int
 	// NewSystem constructs the worker's module environments from
 	// content. Every worker (and the daemon) builds from the same
@@ -30,18 +31,20 @@ type WorkerOptions struct {
 	// workers mount the daemon's castore directory; remote workers mount
 	// a RemoteStore (optionally fetch-through a local castore tier).
 	Store buildcache.Backend
+	// NewPlatform overrides platform instantiation, as
+	// regress.Local.NewPlatform does (nil means platform.New):
+	// fault-injection harnesses hand the worker a deliberately broken
+	// device.
+	NewPlatform func(platform.Kind, soc.HWConfig) (platform.Platform, error)
 }
 
-// worker is the per-process state behind RunWorker: one system, one
-// frozen label per requested release name, caches that live for the
+// worker is the per-process state behind RunWorker: one system, its
+// content epoch, and one regress.Local whose caches live for the
 // process and optionally spill to the shared store.
 type worker struct {
-	opts   WorkerOptions
-	sys    *sysenv.System
-	labels map[string]*release.SystemLabel
-	bc     *buildcache.Cache
-	rc     *runcache.Cache
-	seq    uint64
+	opts  WorkerOptions
+	epoch string
+	local *regress.Local
 }
 
 // newWorker builds the per-process worker state.
@@ -49,26 +52,22 @@ func newWorker(opts WorkerOptions) (*worker, error) {
 	if opts.NewSystem == nil {
 		return nil, fmt.Errorf("shard: worker needs a NewSystem constructor")
 	}
-	wk := &worker{
-		opts:   opts,
-		sys:    opts.NewSystem(),
-		labels: make(map[string]*release.SystemLabel),
-		bc:     buildcache.New(),
-		rc:     runcache.New(),
-	}
+	sys := opts.NewSystem()
+	local := &regress.Local{System: sys, Cache: buildcache.New(),
+		RunCache: runcache.New(), NewPlatform: opts.NewPlatform}
 	if opts.Store != nil {
-		wk.bc.SetBackend(opts.Store, sysenv.PersistEncode, sysenv.PersistDecode)
-		wk.rc.SetBackend(opts.Store)
+		local.Cache.SetBackend(opts.Store, sysenv.PersistEncode, sysenv.PersistDecode)
+		local.RunCache.SetBackend(opts.Store)
 	}
-	return wk, nil
+	return &worker{opts: opts, epoch: sys.ContentEpoch(), local: local}, nil
 }
 
 // RunWorker serves the worker side of the protocol: read jobs from r,
-// run each cell through the full in-process pipeline, write results to
-// w. Returns nil on a clean EOF (daemon closed the pipe). Cell-level
-// failures — epoch drift, unknown derivative, build errors — are
-// reported in-band as broken outcomes; only protocol failures return an
-// error.
+// run each attempt through regress.Local — the in-process matrix's own
+// build-and-run path — and write one result frame per job to w. Returns
+// nil on a clean EOF (daemon closed the pipe). Attempt-level failures —
+// epoch drift, unknown derivative, build errors, a panicking platform —
+// are reported in-band; only protocol failures return an error.
 func RunWorker(r io.Reader, w io.Writer, opts WorkerOptions) error {
 	wk, err := newWorker(opts)
 	if err != nil {
@@ -94,101 +93,49 @@ func (wk *worker) serve(conn *Conn) error {
 		if f.Type != FrameJob || f.Job == nil {
 			return fmt.Errorf("shard: worker expected a job frame, got %q", f.Type)
 		}
-		res := wk.run(f.Job)
+		res := &Result{ID: f.Job.ID, Req: f.Job.Req, Worker: wk.opts.ID, Run: wk.run(f.Job)}
 		if err := conn.Write(Frame{Type: FrameResult, Result: res}); err != nil {
 			return err
 		}
 	}
 }
 
-// freeze returns the worker's frozen system label for name, composing
-// (and caching) it on first use.
-func (wk *worker) freeze(name string) (*release.SystemLabel, error) {
-	if l, ok := wk.labels[name]; ok {
-		return l, nil
-	}
-	var subs []*release.Label
-	for _, e := range wk.sys.Envs() {
-		subs = append(subs, release.Snapshot(name+"_"+e.Module, e))
-	}
-	l, err := release.ComposeSystem(name, wk.sys, subs...)
-	if err != nil {
-		return nil, err
-	}
-	wk.labels[name] = l
-	return l, nil
-}
-
-// run executes one cell job. The cell goes through regress.Run itself —
-// a one-cell matrix with the vet gate skipped (the daemon ran it once
-// for the whole request) — so enumeration, caching, journal emission,
-// and outcome semantics cannot drift from the in-process path.
-func (wk *worker) run(job *Job) *Result {
-	res := &Result{ID: job.ID, Req: job.Req, Worker: wk.opts.ID}
-	broken := func(msg string) *Result {
-		res.Outcome = Outcome{
-			Module: job.Cell.Module, Test: job.Cell.Test,
-			Derivative: job.Cell.Deriv, Platform: job.Cell.Platform,
-			BuildErr: msg,
+// run executes one job: one attempt of one cell, under the job's
+// deadline. A panic costs the attempt, not the worker process.
+func (wk *worker) run(job *Job) (run *Run) {
+	defer func() {
+		if r := recover(); r != nil {
+			run = &Run{Err: fmt.Sprintf("panic: %v", r)}
 		}
-		return res
-	}
-	label, err := wk.freeze(job.Label)
-	if err != nil {
-		return broken("freeze: " + err.Error())
-	}
-	if label.Epoch() != job.Epoch {
+	}()
+	if job.Epoch != wk.epoch {
 		// The worker's content disagrees with what the daemon froze —
 		// running would compare incomparable builds.
-		return broken(fmt.Sprintf("epoch drift: worker froze %s, daemon planned %s",
-			label.Epoch(), job.Epoch))
+		return &Run{Err: fmt.Sprintf("epoch drift: worker content is %s, daemon froze %s",
+			wk.epoch, job.Epoch)}
 	}
 	d, err := derivative.ByName(job.Cell.Deriv)
 	if err != nil {
-		return broken(err.Error())
+		return &Run{Err: err.Error()}
 	}
 	k, err := ParseKind(job.Cell.Platform)
 	if err != nil {
-		return broken(err.Error())
+		return &Run{Err: err.Error()}
 	}
 	eng, err := platform.ParseEngine(job.Engine)
 	if err != nil {
-		return broken(err.Error())
+		return &Run{Err: err.Error()}
 	}
-	spec := regress.Spec{
-		Modules:     []string{job.Cell.Module},
-		Tests:       []string{job.Cell.Test},
-		Derivatives: []*derivative.Derivative{d},
-		Kinds:       []platform.Kind{k},
-		RunSpec: platform.RunSpec{
-			MaxInstructions: job.MaxInstructions,
-			MaxCycles:       job.MaxCycles,
-			Engine:          eng,
-		},
-		Cache:    wk.bc,
-		RunCache: wk.rc,
-		SkipVet:  true,
-		// Collect the cell's own flight records — start, cache-hit,
-		// retries, the outcome — and stamp them with this worker's local
-		// sequence. The one-cell run's header/schedule/runtime/end
-		// framing is the daemon's to emit once for the whole matrix, so
-		// it is dropped here.
-		Journal: journal.SinkFunc(func(r journal.Record) {
-			if r.Module == "" || r.Kind == journal.KindSchedule {
-				return
-			}
-			wk.seq++
-			r.Seq = wk.seq
-			res.Records = append(res.Records, r)
-		}),
+	a := regress.Attempt{
+		CellCoord: regress.CellCoord{Module: job.Cell.Module, Test: job.Cell.Test, Deriv: d, Kind: k},
+		Epoch:     job.Epoch,
+		RunSpec:   platform.RunSpec{MaxInstructions: job.MaxInstructions, MaxCycles: job.MaxCycles, Engine: eng},
+		Triage:    job.Triage,
 	}
-	rep, err := regress.Run(wk.sys, label, spec)
-	if err != nil {
-		return broken(err.Error())
+	if job.DeadlineNs > 0 {
+		var cancel context.CancelFunc
+		a.RunSpec.Context, cancel = context.WithTimeout(context.Background(), time.Duration(job.DeadlineNs))
+		defer cancel()
 	}
-	if len(rep.Outcomes) != 1 {
-		return broken(fmt.Sprintf("one-cell run produced %d outcomes", len(rep.Outcomes)))
-	}
-	res.Outcome = FromOutcome(rep.Outcomes[0])
-	return res
+	return fromAttempt(wk.local.Execute(a))
 }
