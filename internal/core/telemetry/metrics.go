@@ -64,13 +64,37 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// histBuckets is the bucket count of a latency histogram: bucket i
-// counts observations with bits.Len64(nanos) == i, i.e. power-of-two
-// nanosecond bands from <1ns to ~9.2s and beyond.
-const histBuckets = 64
+// Latency histograms are log-linear: every power-of-two band is split
+// into histSub equal sub-buckets, so a bucket is never wider than 1/8 of
+// its lower bound. Values below 2*histSub nanoseconds get a bucket each;
+// the last bucket ends at the largest int64.
+const (
+	histSubBits = 3
+	histSub     = 1 << histSubBits
+	histBuckets = (63-histSubBits)*histSub + histSub
+)
 
-// Histogram is a latency histogram over power-of-two nanosecond
-// buckets. Observations are lock-free.
+// histBucket returns the bucket index of an observation.
+func histBucket(nanos uint64) int {
+	if nanos < 2*histSub {
+		return int(nanos)
+	}
+	shift := bits.Len64(nanos) - 1 - histSubBits
+	return (shift+1)*histSub + int(nanos>>shift) - histSub
+}
+
+// histUpper returns the largest value bucket i holds.
+func histUpper(i int) int64 {
+	if i < 2*histSub {
+		return int64(i)
+	}
+	shift := i/histSub - 1
+	lower := uint64(histSub+i%histSub) << shift
+	return int64(lower + 1<<shift - 1)
+}
+
+// Histogram is a latency histogram over log-linear nanosecond buckets.
+// Observations are lock-free.
 type Histogram struct {
 	buckets [histBuckets]atomic.Uint64
 	count   atomic.Uint64
@@ -89,7 +113,7 @@ func (h *Histogram) ObserveNanos(nanos int64) {
 	if nanos < 0 {
 		nanos = 0
 	}
-	h.buckets[bits.Len64(uint64(nanos))].Add(1)
+	h.buckets[histBucket(uint64(nanos))].Add(1)
 	h.count.Add(1)
 	h.sum.Add(nanos)
 	for {
@@ -133,9 +157,10 @@ func (h *Histogram) MeanNanos() float64 {
 	return float64(h.sum.Load()) / float64(n)
 }
 
-// QuantileNanos approximates the q-quantile (0 < q <= 1) as the upper
-// bound of the bucket holding the q-th observation — accurate to the
-// power-of-two band, which is what a latency SLO needs.
+// QuantileNanos approximates the q-quantile (0 < q <= 1) as the largest
+// value of the bucket holding the q-th observation, clamped to the
+// largest observation: never below the true order statistic, and at
+// most 12.5% above it.
 func (h *Histogram) QuantileNanos(q float64) int64 {
 	total := h.Count()
 	if total == 0 {
@@ -145,17 +170,15 @@ func (h *Histogram) QuantileNanos(q float64) int64 {
 	if rank < 1 {
 		rank = 1
 	}
+	max := h.max.Load()
 	var seen uint64
 	for i := 0; i < histBuckets; i++ {
 		seen += h.buckets[i].Load()
 		if seen >= rank {
-			if i == 0 {
-				return 0
-			}
-			return 1 << i // upper bound of band [2^(i-1), 2^i)
+			return min(histUpper(i), max)
 		}
 	}
-	return h.max.Load()
+	return max
 }
 
 // Registry is a concurrency-safe collection of named instruments. The

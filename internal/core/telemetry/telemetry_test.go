@@ -2,6 +2,9 @@ package telemetry
 
 import (
 	"encoding/json"
+	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -120,17 +123,54 @@ func TestNilRegistrySafe(t *testing.T) {
 func TestHistogramQuantiles(t *testing.T) {
 	h := &Histogram{}
 	for i := 0; i < 100; i++ {
-		h.ObserveNanos(1000) // band (512,1024]: Len64=10, upper bound 1024
+		h.ObserveNanos(1000) // bucket [960,1023]: band [512,1024) in eighths
 	}
 	h.ObserveNanos(1 << 20)
-	if p50 := h.QuantileNanos(0.5); p50 != 1024 {
-		t.Errorf("p50 = %d, want 1024", p50)
+	if p50 := h.QuantileNanos(0.5); p50 != 1023 {
+		t.Errorf("p50 = %d, want 1023", p50)
+	}
+	if p100 := h.QuantileNanos(1); p100 != 1<<20 {
+		t.Errorf("p100 = %d, want the max %d", p100, 1<<20)
 	}
 	if max := h.MaxNanos(); max != 1<<20 {
 		t.Errorf("max = %d", max)
 	}
 	if mean := h.MeanNanos(); mean < 1000 || mean > 12000 {
 		t.Errorf("mean = %f", mean)
+	}
+}
+
+// TestHistogramQuantileAccuracy: on skewed latency samples spanning
+// nanoseconds to seconds, p50/p90/p99 never fall below the true order
+// statistic and never exceed it by more than 12.5%.
+func TestHistogramQuantileAccuracy(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{1, 7, 100, 504, 10000} {
+		h := &Histogram{}
+		vals := make([]int64, n)
+		for i := range vals {
+			vals[i] = int64(math.Exp(rng.Float64() * 21)) // 1 ns .. ~1.3 s
+			h.ObserveNanos(vals[i])
+		}
+		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+		for _, q := range []float64{0.50, 0.90, 0.99} {
+			rank := max(int(q*float64(n)), 1)
+			want, got := vals[rank-1], h.QuantileNanos(q)
+			if got < want || float64(got-want) > 0.125*float64(want) {
+				t.Errorf("n=%d p%.0f = %d, true order statistic %d (off by more than 12.5%%)", n, q*100, got, want)
+			}
+		}
+	}
+	// Every bucket's largest value maps back to that bucket, and the next
+	// value starts the next one.
+	for i := 0; i < histBuckets-1; i++ {
+		up := histUpper(i)
+		if histBucket(uint64(up)) != i || histBucket(uint64(up)+1) != i+1 {
+			t.Fatalf("bucket %d: upper %d maps to %d, upper+1 to %d", i, up, histBucket(uint64(up)), histBucket(uint64(up)+1))
+		}
+	}
+	if up := histUpper(histBuckets - 1); up != math.MaxInt64 || histBucket(uint64(up)) != histBuckets-1 {
+		t.Errorf("last bucket ends at %d, want the largest int64", up)
 	}
 }
 

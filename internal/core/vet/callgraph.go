@@ -64,9 +64,8 @@ type callGraph struct {
 	names []string // deterministic iteration order
 }
 
-// decodeProgramUnit assembles and decodes one unit of the program;
-// a unit that does not assemble or decode is skipped (the cfg pass
-// reports build errors).
+// decodeProgramUnit assembles and decodes one shared unit of the
+// program; a unit that does not assemble or decode is skipped.
 func decodeProgramUnit(tree map[string]string, module, path string, d *derivative.Derivative, k platform.Kind, layer cgLayer) *cgUnitInfo {
 	src, ok := tree[path]
 	if !ok {
@@ -244,19 +243,10 @@ func analyseFunc(f *cgFunc, noreturn map[string]bool) {
 	sort.Slice(f.calls, func(i, j int) bool { return f.calls[i].off < f.calls[j].off })
 }
 
-// programUnits assembles and decodes the full unit set for one test cell.
-func programUnits(tree map[string]string, e *env.Env, t *env.TestCell, d *derivative.Derivative, k platform.Kind, shared []*cgUnitInfo) []*cgUnitInfo {
-	testPath := e.TestSourcePath(t.ID)
-	tu := decodeProgramUnit(tree, e.Module, testPath, d, k, layerTest)
-	if tu == nil {
-		return nil
-	}
-	return append([]*cgUnitInfo{tu}, shared...)
-}
-
 // sharedUnits decodes the units every test of an environment links
-// against: the module's Base_Functions plus the three global-layer
-// units.
+// against, once per environment and derivative: the module's
+// Base_Functions (first, when it builds — noreturnFuncs reads it there)
+// plus the three global-layer units.
 func sharedUnits(tree map[string]string, e *env.Env, d *derivative.Derivative, k platform.Kind) []*cgUnitInfo {
 	var out []*cgUnitInfo
 	if ui := decodeProgramUnit(tree, e.Module, e.Module+"/"+env.BaseFuncsFile, d, k, layerAbstraction); ui != nil {

@@ -15,34 +15,6 @@ import (
 	"repro/internal/translate"
 )
 
-// cfgFindings is the control-flow pass: every test cell is assembled the
-// way the build pipeline would and its text section decoded into a
-// control-flow graph. The pass is deliberately limited to test units —
-// library code renders a defensive trailing RET after noreturn bodies,
-// which is structural, not a test-author mistake.
-func cfgFindings(s *sysenv.System, d *derivative.Derivative, k platform.Kind, opts Options) []Finding {
-	tree := s.Materialise(d)
-	var out []Finding
-	for _, e := range s.Envs() {
-		noreturn := noreturnFuncs(tree, e, d, k)
-		for _, t := range e.Tests() {
-			path := e.TestSourcePath(t.ID)
-			base := Finding{Path: path, Module: e.Module, Test: t.ID}
-			o, err := assembleUnit(tree, e.Module, path, t.Source, d, k)
-			if err != nil {
-				if opts.enabled(CheckBuildError) {
-					f := base
-					f.Message = "test does not assemble: " + firstLine(err.Error())
-					out = append(out, finding(CheckBuildError, f))
-				}
-				continue
-			}
-			out = append(out, checkCFG(o, noreturn, d, base, opts)...)
-		}
-	}
-	return out
-}
-
 func assembleUnit(tree map[string]string, module, path, src string, d *derivative.Derivative, k platform.Kind) (*obj.Object, error) {
 	return asm.Assemble(path, src, asm.Options{
 		Resolver: sysenv.NewResolver(tree, module),
@@ -334,16 +306,11 @@ func (u *cfgUnit) labelAt(off uint32) string {
 
 // ---- checks ----
 
-func checkCFG(o *obj.Object, noreturn map[string]bool, d *derivative.Derivative, base Finding, opts Options) []Finding {
-	u, err := decodeUnit(o)
-	if err != nil {
-		if !opts.enabled(CheckBuildError) {
-			return nil
-		}
-		f := base
-		f.Message = "text section does not decode: " + err.Error()
-		return []Finding{finding(CheckBuildError, f)}
-	}
+// checkCFG is the control-flow pass over one decoded test unit. It is
+// deliberately limited to test units — library code renders a defensive
+// trailing RET after noreturn bodies, which is structural, not a
+// test-author mistake.
+func checkCFG(u *cfgUnit, noreturn map[string]bool, d *derivative.Derivative, base Finding, opts Options) []Finding {
 	if len(u.insts) == 0 {
 		return nil
 	}
@@ -473,26 +440,17 @@ func checkCFG(o *obj.Object, noreturn map[string]bool, d *derivative.Derivative,
 
 // ---- noreturn analysis over the abstraction layer ----
 
-// noreturnFuncs assembles the environment's Base_Functions unit and
-// computes, by fixpoint, which base functions can never return: no path
-// from the function's entry reaches a RET, where a CALL to a function
-// already known not to return has no fall-through edge. The rendered
-// trailing RET after a HALT body is exactly what this analysis sees
-// through.
-func noreturnFuncs(tree map[string]string, e *env.Env, d *derivative.Derivative, k platform.Kind) map[string]bool {
-	path := e.Module + "/" + env.BaseFuncsFile
-	src, ok := tree[path]
-	if !ok {
+// noreturnFuncs computes, by fixpoint over the environment's decoded
+// Base_Functions unit (the first of its shared units), which base
+// functions can never return: no path from the function's entry reaches
+// a RET, where a CALL to a function already known not to return has no
+// fall-through edge. The rendered trailing RET after a HALT body is
+// exactly what this analysis sees through.
+func noreturnFuncs(e *env.Env, shared []*cgUnitInfo) map[string]bool {
+	if len(shared) == 0 || shared[0].layer != layerAbstraction {
 		return nil
 	}
-	o, err := assembleUnit(tree, e.Module, path, src, d, k)
-	if err != nil {
-		return nil
-	}
-	u, err := decodeUnit(o)
-	if err != nil {
-		return nil
-	}
+	u := shared[0].u
 	entries := e.Funcs.Names()
 	noreturn := make(map[string]bool)
 	// Iterate to fixpoint: marking one function noreturn can cut the only

@@ -146,7 +146,7 @@ func TestNoreturnFixpoint(t *testing.T) {
 	d := derivative.A()
 	tree := s.Materialise(d)
 	e, _ := s.Env(content.ModuleNVM)
-	noreturn := noreturnFuncs(tree, e, d, platform.KindGolden)
+	noreturn := noreturnFuncs(e, sharedUnits(tree, e, d, platform.KindGolden))
 	if !noreturn["Base_Report_Pass"] || !noreturn["Base_Report_Fail"] {
 		t.Errorf("reporting functions not detected noreturn: %v", noreturn)
 	}

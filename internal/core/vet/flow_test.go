@@ -224,8 +224,8 @@ func FuzzCallGraph(f *testing.F) {
 	tree := s.Materialise(d)
 	envs := s.Envs()
 	e := envs[0]
-	noreturn := noreturnFuncs(tree, e, d, k)
 	shared := sharedUnits(tree, e, d, k)
+	noreturn := noreturnFuncs(e, shared)
 
 	f.Add(testprog.SeededRecursion)
 	f.Add(testprog.SeededDeadStore)

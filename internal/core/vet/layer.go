@@ -10,34 +10,25 @@ import (
 	"repro/internal/platform"
 )
 
-// layerFindings is the layer-discipline pass (the paper's Figure 2): it
-// preprocesses every test cell with the real assembler front end and
-// checks the tokens the test author actually wrote — expansion
+// layerFindings is the layer-discipline pass (the paper's Figure 2) over
+// one test cell: it preprocesses the test with the real assembler front
+// end and checks the tokens the test author actually wrote — expansion
 // provenance separates them from text injected by Globals.inc defines
 // or macros, so abstraction-layer machinery can never trip the checks.
-func layerFindings(s *sysenv.System, d *derivative.Derivative, k platform.Kind, opts Options) []Finding {
-	tree := s.Materialise(d)
-	globals := globalNames(d)
-	blocks := peripheralBlocks(d)
-	var out []Finding
-	for _, e := range s.Envs() {
-		for _, t := range e.Tests() {
-			path := e.TestSourcePath(t.ID)
-			base := Finding{Path: path, Module: e.Module, Test: t.ID}
-			out = append(out, checkIncludes(path, t.Source, base, opts)...)
-			lines, errs := expand(tree, e.Module, path, t.Source, d, k)
-			for _, err := range errs {
-				if !opts.enabled(CheckBuildError) {
-					break
-				}
-				f := base
-				f.Message = "test does not preprocess: " + err.Error()
-				out = append(out, finding(CheckBuildError, f))
-			}
-			out = append(out, checkLines(path, lines, globals, blocks, base, opts)...)
+// globals and blocks are the derivative's globalNames and
+// peripheralBlocks.
+func layerFindings(tree map[string]string, module, src string, d *derivative.Derivative, k platform.Kind, globals map[string]bool, blocks []addrBlock, base Finding, opts Options) []Finding {
+	out := checkIncludes(base.Path, src, base, opts)
+	lines, errs := expand(tree, module, base.Path, src, d, k)
+	for _, err := range errs {
+		if !opts.enabled(CheckBuildError) {
+			break
 		}
+		f := base
+		f.Message = "test does not preprocess: " + err.Error()
+		out = append(out, finding(CheckBuildError, f))
 	}
-	return out
+	return append(out, checkLines(base.Path, lines, globals, blocks, base, opts)...)
 }
 
 // checkIncludes scans the RAW source for .INCLUDE lines: the

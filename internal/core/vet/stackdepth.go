@@ -14,8 +14,6 @@ import (
 	"strings"
 
 	"repro/internal/core/derivative"
-	"repro/internal/core/sysenv"
-	"repro/internal/platform"
 )
 
 // depthResult is the memoised outcome of totalDepth for one function.
@@ -96,39 +94,24 @@ func (g *callGraph) callSiteOf(callee string) (file string, line int, ok bool) {
 	return "", 0, false
 }
 
-// flowFindings is the whole-program pass for one derivative: per test it
-// builds the linked image's call graph, runs the stack-depth analysis
+// flowFindings is the whole-program pass over one test on one
+// derivative. units is the linked image's unit set, the decoded test
+// unit first: it builds the call graph, runs the stack-depth analysis
 // against the derivative's stack budget, checks the object-level layer
 // discipline, and runs the register dataflow analyses on the test unit.
-func flowFindings(s *sysenv.System, d *derivative.Derivative, k platform.Kind, opts Options) ([]Finding, []StackBound) {
-	tree := s.Materialise(d)
-	var out []Finding
-	var bounds []StackBound
-	for _, e := range s.Envs() {
-		noreturn := noreturnFuncs(tree, e, d, k)
-		shared := sharedUnits(tree, e, d, k)
-		globals := globalFuncLabels(shared)
-		for _, t := range e.Tests() {
-			path := e.TestSourcePath(t.ID)
-			base := Finding{Path: path, Module: e.Module, Test: t.ID}
-			units := programUnits(tree, e, t, d, k, shared)
-			if units == nil {
-				continue // the cfg pass reports the build error
-			}
-			tu := units[0]
-			g := buildCallGraph(units, noreturn)
-			out = append(out, stackFindings(g, tu, d, base, opts, &bounds)...)
-			out = append(out, layerCallFindings(g, globals, base, opts)...)
-			out = append(out, uninitFindings(tu.u, noreturn, base, opts)...)
-			out = append(out, deadStoreFindings(tu.u, noreturn, base, opts)...)
-		}
-	}
-	return out, bounds
+func flowFindings(units []*cgUnitInfo, noreturn, globals map[string]bool, d *derivative.Derivative, base Finding, opts Options) ([]Finding, StackBound) {
+	tu := units[0]
+	g := buildCallGraph(units, noreturn)
+	out, bound := stackFindings(g, tu, d, base, opts)
+	out = append(out, layerCallFindings(g, globals, base, opts)...)
+	out = append(out, uninitFindings(tu.u, noreturn, base, opts)...)
+	out = append(out, deadStoreFindings(tu.u, noreturn, base, opts)...)
+	return out, bound
 }
 
-// stackFindings evaluates one test's worst-case stack depth and appends
-// its row to the bound table.
-func stackFindings(g *callGraph, tu *cgUnitInfo, d *derivative.Derivative, base Finding, opts Options, bounds *[]StackBound) []Finding {
+// stackFindings evaluates one test's worst-case stack depth and returns
+// its row of the bound table.
+func stackFindings(g *callGraph, tu *cgUnitInfo, d *derivative.Derivative, base Finding, opts Options) ([]Finding, StackBound) {
 	entry := "test_main"
 	if _, ok := g.funcs["_start"]; ok {
 		entry = "_start"
@@ -187,14 +170,13 @@ func stackFindings(g *callGraph, tu *cgUnitInfo, d *derivative.Derivative, base 
 			out = append(out, finding(CheckStackOverflow, f))
 		}
 	}
-	*bounds = append(*bounds, StackBound{
+	return out, StackBound{
 		Module:      base.Module,
 		Test:        base.Test,
 		Derivative:  d.Name,
 		DepthBytes:  depth,
 		BudgetBytes: int(d.StackBytes),
-	})
-	return out
+	}
 }
 
 // layerCallFindings is the object-level layer-discipline check: a call

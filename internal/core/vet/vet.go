@@ -1,8 +1,11 @@
 package vet
 
 import (
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/asm"
 	"repro/internal/core/derivative"
@@ -69,19 +72,26 @@ func Check(s *sysenv.System, opts Options) *Report {
 		r.Derivatives = append(r.Derivatives, d.Name)
 	}
 
-	// Layer + CFG + whole-program flow run once per derivative; findings
-	// present on every derivative merge into one variant-free finding.
+	// One job per derivative (layer + CFG + whole-program flow) plus the
+	// portability probe run concurrently, each into its own slot. The
+	// merge reads the slots in derivative order, so the report does not
+	// depend on scheduling. Findings present on every derivative merge
+	// into one variant-free finding.
 	perDeriv := make([][]Finding, len(opts.Derivatives))
+	bounds := make([][]StackBound, len(opts.Derivatives))
+	var port []Finding
+	// The probe job is the largest (every derivative x kind); it goes
+	// first so it does not start last.
+	jobs := []func(){func() { port = portFindings(s, opts) }}
 	for i, d := range opts.Derivatives {
-		perDeriv[i] = append(layerFindings(s, d, opts.Kinds[0], opts),
-			cfgFindings(s, d, opts.Kinds[0], opts)...)
-		flow, bounds := flowFindings(s, d, opts.Kinds[0], opts)
-		perDeriv[i] = append(perDeriv[i], flow...)
-		r.Stack = append(r.Stack, bounds...)
+		jobs = append(jobs, func() { perDeriv[i], bounds[i] = derivFindings(s, d, opts.Kinds[0], opts) })
+	}
+	fanOut(jobs)
+	for _, b := range bounds {
+		r.Stack = append(r.Stack, b...)
 	}
 	r.Findings = append(r.Findings, mergeVariants(opts.Derivatives, perDeriv)...)
-
-	r.Findings = append(r.Findings, portFindings(s, opts)...)
+	r.Findings = append(r.Findings, port...)
 	r.Findings = append(r.Findings, deadFindings(s, opts)...)
 	r.Findings = append(r.Findings, traceFindings(s, opts)...)
 
@@ -98,6 +108,69 @@ func Check(s *sysenv.System, opts Options) *Report {
 	})
 	r.Sort()
 	return r
+}
+
+// fanOut runs the jobs on at most GOMAXPROCS goroutines and returns
+// when every job has finished.
+func fanOut(jobs []func()) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(jobs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < int64(len(jobs)); i = next.Add(1) - 1 {
+				jobs[i]()
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// derivFindings is one derivative's share of Check: the layer, CFG and
+// whole-program flow passes in a single walk. Each environment's shared
+// units (Base_Functions and the global layer) are assembled and decoded
+// once, and each test once; the CFG checks, the call graph, the stack
+// bound and the dataflow analyses all read the same decoded units, and
+// none outlives the call. Findings come back in pass order — every
+// layer finding, then every CFG finding, then every flow finding.
+func derivFindings(s *sysenv.System, d *derivative.Derivative, k platform.Kind, opts Options) ([]Finding, []StackBound) {
+	tree := s.Materialise(d)
+	names, blocks := globalNames(d), peripheralBlocks(d)
+	var layer, cfg, flow []Finding
+	var bounds []StackBound
+	buildError := func(base Finding, msg string) {
+		if opts.enabled(CheckBuildError) {
+			base.Message = msg
+			cfg = append(cfg, finding(CheckBuildError, base))
+		}
+	}
+	for _, e := range s.Envs() {
+		shared := sharedUnits(tree, e, d, k)
+		noreturn := noreturnFuncs(e, shared)
+		globalFuncs := globalFuncLabels(shared)
+		for _, t := range e.Tests() {
+			path := e.TestSourcePath(t.ID)
+			base := Finding{Path: path, Module: e.Module, Test: t.ID}
+			layer = append(layer, layerFindings(tree, e.Module, t.Source, d, k, names, blocks, base, opts)...)
+			o, err := assembleUnit(tree, e.Module, path, t.Source, d, k)
+			if err != nil {
+				buildError(base, "test does not assemble: "+firstLine(err.Error()))
+				continue
+			}
+			u, err := decodeUnit(o)
+			if err != nil {
+				buildError(base, "text section does not decode: "+err.Error())
+				continue
+			}
+			cfg = append(cfg, checkCFG(u, noreturn, d, base, opts)...)
+			tu := &cgUnitInfo{u: u, path: path, layer: layerTest, indirect: indirectTargets(u)}
+			fs, bound := flowFindings(append([]*cgUnitInfo{tu}, shared...), noreturn, globalFuncs, d, base, opts)
+			flow = append(flow, fs...)
+			bounds = append(bounds, bound)
+		}
+	}
+	return append(append(layer, cfg...), flow...), bounds
 }
 
 // finding builds a Finding with the check's default severity.

@@ -2,6 +2,7 @@ package vet
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -9,19 +10,29 @@ import (
 	"repro/internal/core/derivative"
 	"repro/internal/core/env"
 	"repro/internal/core/sysenv"
+	"repro/internal/testprog"
 )
 
 // injectTest clones the shipped system with one extra test added to the
 // named module.
 func injectTest(t *testing.T, module string, cell env.TestCell) *sysenv.System {
 	t.Helper()
+	return injectTests(t, map[string][]env.TestCell{module: {cell}})
+}
+
+// injectTests clones the shipped system with extra tests added to the
+// named modules.
+func injectTests(t *testing.T, cells map[string][]env.TestCell) *sysenv.System {
+	t.Helper()
 	s := content.PortedSystem()
 	sys := sysenv.New("SYS")
 	for _, m := range s.Modules() {
 		e, _ := s.Env(m)
-		if m == module {
+		if len(cells[m]) > 0 {
 			e = e.Clone()
-			e.MustAddTest(cell)
+			for _, c := range cells[m] {
+				e.MustAddTest(c)
+			}
 		}
 		if err := sys.AddEnv(e); err != nil {
 			t.Fatalf("AddEnv(%s): %v", m, err)
@@ -308,18 +319,63 @@ func TestMergeVariants(t *testing.T) {
 	}
 }
 
+// TestReportDeterminism: Check's JSON is the same bytes whatever the
+// parallelism — on one core and on four, and across repeated runs —
+// for the clean shipped system and for one whose seeded defects reach
+// every per-derivative pass (layer, CFG, stack, uninit, dead-store) and
+// the variant merge.
 func TestReportDeterminism(t *testing.T) {
-	s := content.PortedSystem()
-	a, err := Check(s, NewOptions()).JSON()
-	if err != nil {
-		t.Fatal(err)
+	violating := injectTests(t, map[string][]env.TestCell{
+		content.ModuleNVM: {
+			{ID: "TEST_NVM_RAW", Source: ".INCLUDE \"Globals.inc\"\ntest_main:\n    LOAD d14, [0x80002014]\n    CALL Base_Report_Pass\n"},
+			{ID: "TEST_NVM_UNREACHABLE", Source: ".INCLUDE \"Globals.inc\"\ntest_main:\n    CALL Base_Report_Pass\nnever:\n    LOAD d0, 1\n    CALL Base_Report_Fail\n"},
+			{ID: "TEST_NVM_SEEDED_RECURSION", Source: testprog.SeededRecursion},
+			{ID: "TEST_NVM_SEEDED_UNINIT", Source: testprog.SeededUninitRead},
+			{ID: "TEST_NVM_SEEDED_DEADSTORE", Source: testprog.SeededDeadStore},
+		},
+		content.ModuleUART: {
+			{ID: "TEST_UART_OLDNAME", Source: ".INCLUDE \"Globals.inc\"\ntest_main:\n    LOAD d0, UART_DR_OFF\n    CALL Base_Report_Pass\n"},
+		},
+	})
+	r := Check(violating, NewOptions())
+	got := countByCheck(r.Findings)
+	for _, id := range []string{CheckRawAddress, CheckUnreachable, CheckStackRecursion, CheckUninitRead, CheckDeadStore} {
+		if got[id] == 0 {
+			t.Errorf("seeded system has no %s finding", id)
+		}
 	}
-	b, err := Check(s, NewOptions()).JSON()
-	if err != nil {
-		t.Fatal(err)
+	variant := false
+	for _, f := range r.Findings {
+		variant = variant || f.Variant != ""
 	}
-	if !bytes.Equal(a, b) {
-		t.Error("two Check runs produced different JSON bytes")
+	if !variant {
+		t.Error("seeded system has no variant-subset finding")
+	}
+
+	// The family in reverse as well: SEC, the derivative whose findings
+	// differ, then runs alongside the others instead of last, so a merge
+	// that followed completion order would misplace its findings.
+	reversed := NewOptions()
+	for _, d := range derivative.Family() {
+		reversed.Derivatives = append([]*derivative.Derivative{d}, reversed.Derivatives...)
+	}
+	for name, s := range map[string]*sysenv.System{"shipped": content.PortedSystem(), "seeded": violating} {
+		for order, opts := range map[string]Options{"family order": NewOptions(), "reversed": reversed} {
+			var want []byte
+			for _, procs := range []int{1, 4, 4} {
+				prev := runtime.GOMAXPROCS(procs)
+				b, err := Check(s, opts).JSON()
+				runtime.GOMAXPROCS(prev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want = b
+				} else if !bytes.Equal(want, b) {
+					t.Errorf("%s, %s: Check at GOMAXPROCS(%d) produced different JSON bytes than at GOMAXPROCS(1)", name, order, procs)
+				}
+			}
+		}
 	}
 }
 
