@@ -3,10 +3,12 @@
 #   make           tier-1: build + test everything
 #   make lint      go vet + advm-vet static analysis of the shipped suite
 #   make race      vet + full test suite under the race detector
-#   make fuzz      short-budget fuzz smoke (assembler lexer, vet CFG
-#                  decoder, call-graph/stack-depth analysis, shard frame
-#                  decoder, certification bundle reader, journal JSONL
-#                  parsers)
+#   make fuzz      short-budget fuzz smoke (assembler lexer, paged SoC
+#                  memory vs a flat reference, vet CFG decoder,
+#                  call-graph/stack-depth analysis, shard frame decoder,
+#                  certification bundle reader, journal JSONL parsers,
+#                  store entry framing, build-artifact and run-outcome
+#                  decoders)
 #   make bench     regenerate the EXPERIMENTS.md benchmarks
 #   make cache     the build-cache benchmarks only (off/cold/warm)
 #   make bench-json  telemetry-overhead benchmarks (E12) -> BENCH_telemetry.json
@@ -51,21 +53,28 @@ vet:
 lint: vet
 	$(GO) run ./cmd/advm-lint
 
-# Short-budget fuzz smoke: the assembler lexer, the vet CFG decoder, the
-# whole-program call-graph/stack-depth analysis, the shard frame decoder
-# every daemon, worker and client connection reads through, the
-# certification bundle reader, and the journal JSONL parsers (Read and
-# Mask), FUZZTIME each (CI uses the default 10s; raise it locally for
-# real runs). The bundle reader's seed is a ~55 KB sealed bundle;
-# minimising each new input against it would spend the whole budget, so
-# its minimisation is capped.
+# Short-budget fuzz smoke: the assembler lexer, the paged SoC memory
+# against a flat reference model, the vet CFG decoder, the whole-program
+# call-graph/stack-depth analysis, the shard frame decoder every daemon,
+# worker and client connection reads through, the certification bundle
+# reader, the journal JSONL parsers (Read and Mask), and the three
+# decoders behind the artifact store that a fleet peer feeds over TCP:
+# the store's entry framing, the build-artifact codec and the run-outcome
+# codec, FUZZTIME each (CI uses the default 10s; raise it locally for
+# real runs). The bundle reader's and the store decoders' seeds are real
+# artifacts of several KB; minimising each new input against them would
+# spend the whole budget, so their minimisation is capped.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzLexLine -fuzztime $(FUZZTIME) ./internal/asm
+	$(GO) test -run xxx -fuzz FuzzMemory -fuzztime $(FUZZTIME) ./internal/mem
 	$(GO) test -run xxx -fuzz FuzzCFGDecode -fuzztime $(FUZZTIME) ./internal/core/vet
 	$(GO) test -run xxx -fuzz FuzzCallGraph -fuzztime $(FUZZTIME) ./internal/core/vet
 	$(GO) test -run xxx -fuzz FuzzFrameRead -fuzztime $(FUZZTIME) ./internal/core/shard
 	$(GO) test -run xxx -fuzz FuzzReadBundle -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/core/release
 	$(GO) test -run xxx -fuzz FuzzJournalRead -fuzztime $(FUZZTIME) ./internal/core/journal
+	$(GO) test -run xxx -fuzz FuzzDecodeEntry -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/core/castore
+	$(GO) test -run xxx -fuzz FuzzPersistDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/core/sysenv
+	$(GO) test -run xxx -fuzz FuzzDecodeResult -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/core/runcache
 
 # The concurrency gate: the regression runner, the build cache's
 # singleflight, and every cached build path run under -race.

@@ -385,7 +385,7 @@ func (p *preprocessor) expandMacro(m *macroDef, call Line, argToks []Token, dept
 			}
 			if t.Kind == TokIdent {
 				if rep, ok := bind[t.Text]; ok {
-					toks = append(toks, retag(rep, call.File, call.Num)...)
+					toks = appendRetagged(toks, rep, call.File, call.Num)
 					continue
 				}
 			}
@@ -395,19 +395,23 @@ func (p *preprocessor) expandMacro(m *macroDef, call Line, argToks []Token, dept
 	}
 }
 
-func retag(toks []Token, file string, line int) []Token {
-	out := make([]Token, len(toks))
-	for i, t := range toks {
+// appendRetagged appends toks to dst moved to the use site file:line, each
+// remembering in Src the file it was written in.
+func appendRetagged(dst, toks []Token, file string, line int) []Token {
+	for _, t := range toks {
 		if t.Src == "" {
-			t.Src = t.File // remember where the token was written
+			t.Src = t.File
 		}
 		t.File, t.Line = file, line
-		out[i] = t
+		dst = append(dst, t)
 	}
-	return out
+	return dst
 }
 
-// substitute applies define replacement to a token list.
+// substitute applies define replacement to a token list. A list that
+// names no define comes back as is, without allocating; otherwise the
+// replacement is built in one presized slice. Either way the caller must
+// not modify the result in place: it may alias toks.
 func (p *preprocessor) substitute(toks []Token, depth int) ([]Token, error) {
 	if depth > expandDepthLimit {
 		if len(toks) > 0 {
@@ -415,20 +419,36 @@ func (p *preprocessor) substitute(toks []Token, depth int) ([]Token, error) {
 		}
 		return toks, nil
 	}
-	var out []Token
-	changed := false
-	for _, t := range toks {
-		if t.Kind == TokIdent {
-			if rep, ok := p.defines[t.Text]; ok {
-				out = append(out, retag(rep, t.File, t.Line)...)
-				changed = true
-				continue
+	first := -1
+	n := len(toks)
+	for i, t := range toks {
+		if rep, ok := p.define(t); ok {
+			if first < 0 {
+				first = i
 			}
+			n += len(rep) - 1
+		}
+	}
+	if first < 0 {
+		return toks, nil
+	}
+	out := make([]Token, first, n)
+	copy(out, toks[:first])
+	for _, t := range toks[first:] {
+		if rep, ok := p.define(t); ok {
+			out = appendRetagged(out, rep, t.File, t.Line)
+			continue
 		}
 		out = append(out, t)
 	}
-	if !changed {
-		return out, nil
-	}
 	return p.substitute(out, depth+1)
+}
+
+// define returns the replacement for t when t names a define.
+func (p *preprocessor) define(t Token) ([]Token, bool) {
+	if t.Kind != TokIdent {
+		return nil, false
+	}
+	rep, ok := p.defines[t.Text]
+	return rep, ok
 }

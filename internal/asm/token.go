@@ -105,15 +105,19 @@ func isIdentChar(c byte) bool { return isIdentStart(c) || (c >= '0' && c <= '9')
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
 // lexLine tokenises one physical source line. Comments start with ';'.
+// Tokens collect in a stack buffer and leave in one exact-size slice, so
+// a line allocates its token slice once, and a blank or comment-only line
+// returns nil without allocating.
 func lexLine(file string, num int, src string) ([]Token, error) {
-	var toks []Token
+	var buf [32]Token
+	toks := buf[:0]
 	i := 0
 	n := len(src)
 	for i < n {
 		c := src[i]
 		switch {
 		case c == ';':
-			return toks, nil // comment to end of line
+			i = n // comment to end of line
 		case c == ' ' || c == '\t' || c == '\r':
 			i++
 		case c == '.' && i+1 < n && isIdentStart(src[i+1]):
@@ -246,14 +250,17 @@ func lexLine(file string, num int, src string) ([]Token, error) {
 			}
 			switch c {
 			case ',', ':', '[', ']', '(', ')', '+', '-', '*', '/', '%', '&', '|', '^', '~', '#', '\\', '=', '<', '>', '!', '@':
-				toks = append(toks, Token{Kind: TokPunct, Text: string(c), File: file, Line: num})
+				toks = append(toks, Token{Kind: TokPunct, Text: src[i : i+1], File: file, Line: num})
 				i++
 			default:
 				return nil, errAt(file, num, "unexpected character %q", string(c))
 			}
 		}
 	}
-	return toks, nil
+	if len(toks) == 0 {
+		return nil, nil
+	}
+	return append([]Token(nil), toks...), nil
 }
 
 func isHex(c byte) bool {

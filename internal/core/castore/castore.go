@@ -35,6 +35,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -499,12 +500,12 @@ func (s *Store) loadStats() Stats {
 }
 
 // writeEntry frames one payload: magic, length, payload, checksum.
-func writeEntry(f *os.File, payload []byte) error {
+func writeEntry(w io.Writer, payload []byte) error {
 	var lenBuf [8]byte
 	binary.LittleEndian.PutUint64(lenBuf[:], uint64(len(payload)))
 	sum := sha256.Sum256(payload)
 	for _, part := range [][]byte{magic, lenBuf[:], payload, sum[:]} {
-		if _, err := f.Write(part); err != nil {
+		if _, err := w.Write(part); err != nil {
 			return err
 		}
 	}

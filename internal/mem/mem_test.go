@@ -221,3 +221,95 @@ func TestEndianProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// pagesHeld counts the pages a region has materialised.
+func pagesHeld(r *Region) int {
+	n := 0
+	for _, p := range r.pages {
+		if p != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestSparsePages: a region materialises a page only on its first
+// non-zero write; zero writes and zero blobs leave it untouched.
+func TestSparsePages(t *testing.T) {
+	m := &Memory{}
+	ram := m.AddRegion("ram", 0x4000, 0x10000, PermRead|PermWrite)
+	if n := pagesHeld(ram); n != 0 {
+		t.Fatalf("untouched region holds %d pages", n)
+	}
+	if v, err := m.Read32(0x4ffc, AccessRead); err != nil || v != 0 {
+		t.Fatalf("untouched read = %#x, %v", v, err)
+	}
+	_ = m.Write32(0x4000, 0)
+	_ = m.Write16(0x5002, 0)
+	_ = m.Write8(0x6003, 0)
+	if err := m.LoadBlob(0x4000, make([]byte, 0x10000)); err != nil {
+		t.Fatal(err)
+	}
+	if n := pagesHeld(ram); n != 0 {
+		t.Fatalf("zero writes and a zero blob materialised %d pages", n)
+	}
+	_ = m.Write8(0x4401, 7)
+	if n := pagesHeld(ram); n != 1 {
+		t.Fatalf("one non-zero write materialised %d pages", n)
+	}
+	// A zero write to a materialised page still clears it.
+	_ = m.Write8(0x4401, 0)
+	if v, _ := m.Read8(0x4401, AccessRead); v != 0 {
+		t.Fatalf("zero write to a live page left %#x", v)
+	}
+}
+
+// TestStraddlePages: a relaxed misaligned word access across a page edge
+// reads and writes both pages.
+func TestStraddlePages(t *testing.T) {
+	m := &Memory{}
+	ram := m.AddRegion("ram", 0x4000, 0x1000, PermRead|PermWrite)
+	m.SetRelaxed(true)
+	if err := m.Write32(0x43fe, 0x11223344); err != nil {
+		t.Fatal(err)
+	}
+	if n := pagesHeld(ram); n != 2 {
+		t.Fatalf("straddling write materialised %d pages, want 2", n)
+	}
+	if v, err := m.Read32(0x43fe, AccessRead); err != nil || v != 0x11223344 {
+		t.Fatalf("straddling read = %#x, %v", v, err)
+	}
+	if v, _ := m.Read16(0x43ff, AccessRead); v != 0x2233 {
+		t.Fatalf("straddling halfword = %#x", v)
+	}
+	if b, _ := m.Dump(0x43fe, 4); string(b) != "\x44\x33\x22\x11" {
+		t.Fatalf("dump across the edge = %x", b)
+	}
+	m.SetRelaxed(false)
+	if _, err := m.Read32(0x43fe, AccessRead); err == nil {
+		t.Fatal("strict misaligned read should fault")
+	}
+}
+
+// TestShortLastPage: a region whose size is not a multiple of the page
+// size ends exactly at its size; the byte after it is unmapped.
+func TestShortLastPage(t *testing.T) {
+	m := &Memory{}
+	r := m.AddRegion("nvm", 0x8000, 0x0602, PermRead|PermWrite)
+	if err := m.Write16(0x8600, 0xbeef); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(r.pages[1]); got != 0x202 {
+		t.Fatalf("last page is %d bytes, want %d", got, 0x202)
+	}
+	var f *Fault
+	if _, err := m.Read32(0x8600, AccessRead); !errors.As(err, &f) || f.Reason != "unmapped" {
+		t.Fatalf("word read past the short page = %v, want unmapped", err)
+	}
+	if err := m.Write8(0x8602, 1); !errors.As(err, &f) || f.Reason != "unmapped" {
+		t.Fatalf("byte write past the short page = %v, want unmapped", err)
+	}
+	if err := m.LoadBlob(0x8601, []byte{1, 2}); !errors.As(err, &f) || f.Addr != 0x8602 {
+		t.Fatalf("blob past the short page = %v, want a fault at 0x8602", err)
+	}
+}

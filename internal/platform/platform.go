@@ -295,14 +295,18 @@ func Load(s *soc.SoC, img *obj.Image) error {
 			return fmt.Errorf("load segment at 0x%08x: %w", seg.Addr, err)
 		}
 	}
-	if img.BssSize > 0 {
-		zero := make([]byte, img.BssSize)
-		if err := s.Mem.LoadBlob(img.BssAddr, zero); err != nil {
+	for off := uint32(0); off < img.BssSize; off += uint32(len(zeroPage)) {
+		n := min(img.BssSize-off, uint32(len(zeroPage)))
+		if err := s.Mem.LoadBlob(img.BssAddr+off, zeroPage[:n]); err != nil {
 			return fmt.Errorf("clear bss at 0x%08x: %w", img.BssAddr, err)
 		}
 	}
 	return nil
 }
+
+// zeroPage is the source of Load's BSS clear, a chunk at a time; zero
+// bytes bound for untouched pages allocate nothing.
+var zeroPage [1024]byte
 
 // Macro returns the preprocessor symbol that selects this platform in
 // conditional assembly (the ADVM abstraction layer's platform control).
