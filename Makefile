@@ -1,14 +1,15 @@
 # ADVM reproduction — build/test entry points.
 #
 #   make           tier-1: build + test everything
-#   make lint      go vet + advm-vet static analysis of the shipped suite
+#   make vet       go vet + gofmt gate (fails on any unformatted file)
+#   make lint      vet + advm-vet static analysis of the shipped suite
 #   make race      vet + full test suite under the race detector
-#   make fuzz      short-budget fuzz smoke (assembler lexer, paged SoC
-#                  memory vs a flat reference, vet CFG decoder,
-#                  call-graph/stack-depth analysis, shard frame decoder,
+#   make fuzz      short-budget fuzz smoke of eleven targets (assembler
+#                  lexer, paged SoC memory vs a flat reference, vet CFG
+#                  decoder, call-graph/stack-depth analysis, shard frame decoder,
 #                  certification bundle reader, journal JSONL parsers,
 #                  store entry framing, build-artifact and run-outcome
-#                  decoders)
+#                  decoders, run-history store file)
 #   make bench     regenerate the EXPERIMENTS.md benchmarks
 #   make cache     the build-cache benchmarks only (off/cold/warm)
 #   make bench-json  telemetry-overhead benchmarks (E12) -> BENCH_telemetry.json
@@ -44,8 +45,10 @@ all: tier1
 tier1:
 	$(GO) build ./... && $(GO) test ./...
 
+# go vet plus a formatting gate: any file gofmt would rewrite fails.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt -l: unformatted files:"; echo "$$out"; exit 1; }
 
 # Static analysis of the shipped test suite itself: layer discipline,
 # CFG checks, portability, dead abstraction. Non-zero exit on any
@@ -60,10 +63,12 @@ lint: vet
 # reader, the journal JSONL parsers (Read and Mask), and the three
 # decoders behind the artifact store that a fleet peer feeds over TCP:
 # the store's entry framing, the build-artifact codec and the run-outcome
-# codec, FUZZTIME each (CI uses the default 10s; raise it locally for
-# real runs). The bundle reader's and the store decoders' seeds are real
-# artifacts of several KB; minimising each new input against them would
-# spend the whole budget, so their minimisation is capped.
+# codec, plus the run-history store file, FUZZTIME each (CI uses the
+# default 10s; raise it locally for real runs). The bundle reader's and
+# the store decoders' seeds are real artifacts of several KB; minimising
+# each new input against them would spend the whole budget, so their
+# minimisation is capped, as is the history target's, whose every
+# execution writes and re-reads the store file.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzLexLine -fuzztime $(FUZZTIME) ./internal/asm
 	$(GO) test -run xxx -fuzz FuzzMemory -fuzztime $(FUZZTIME) ./internal/mem
@@ -75,6 +80,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzDecodeEntry -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/core/castore
 	$(GO) test -run xxx -fuzz FuzzPersistDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/core/sysenv
 	$(GO) test -run xxx -fuzz FuzzDecodeResult -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/core/runcache
+	$(GO) test -run xxx -fuzz FuzzHistoryOpen -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/core/history
 
 # The concurrency gate: the regression runner, the build cache's
 # singleflight, and every cached build path run under -race.

@@ -209,8 +209,8 @@ type (
 	// BuildContext binds a BuildCache to a system content epoch.
 	BuildContext = sysenv.BuildContext
 	// RunCache memoises deterministic-platform run outcomes by content
-	// hash (image, kind, hardware config, run bounds), with singleflight
-	// deduplication.
+	// hash (release epoch, cell, kind, hardware config, run bounds) on a
+	// BuildCache's singleflight and persistent tier.
 	RunCache = runcache.Cache
 	// RunCacheStats is a run-cache hit/miss/bypass snapshot.
 	RunCacheStats = runcache.Stats

@@ -8,7 +8,9 @@
 // content address (unit source + resolved include closure + sorted
 // defines) and deduplicates concurrent builds of the same key with
 // singleflight semantics: one worker assembles, the others block on the
-// in-flight entry and share the result.
+// in-flight entry and share the result. The same Cache, namespaced
+// "runcache", is the memo behind internal/core/runcache, so this file
+// holds the repo's one singleflight and persistent-tier path.
 //
 // Soundness rests on the release-label invariant of the paper's
 // Section 3: a regression only runs against a frozen label, the module
@@ -148,19 +150,35 @@ type Cache struct {
 	backend Backend
 	enc     EncodeFunc
 	dec     DecodeFunc
+	ns      string
+	names   metricNames
 }
 
-// New creates an empty cache.
-func New() *Cache {
-	return &Cache{entries: make(map[string]*entry)}
+// metricNames are a cache's telemetry names, built once per cache so
+// the hit path does not concatenate (and allocate) a name per call.
+type metricNames struct {
+	hits, misses, merged, diskHits, fillNs, waitNs string
 }
 
-// SetMetrics mirrors the cache counters into a telemetry registry:
-// buildcache.hits / buildcache.misses / buildcache.merged counters, a
-// buildcache.fill_ns histogram over fill latency, and a
-// buildcache.wait_ns histogram over time spent blocked on another
-// caller's in-flight fill. Call it before sharing the cache between
-// goroutines; a nil registry detaches.
+// New creates an empty build cache.
+func New() *Cache { return NewNamed("buildcache") }
+
+// NewNamed creates an empty cache whose telemetry names and abort
+// errors carry the namespace ns ("buildcache", or "runcache" for the
+// run-outcome cache built on top of this one).
+func NewNamed(ns string) *Cache {
+	return &Cache{entries: make(map[string]*entry), ns: ns, names: metricNames{
+		hits: ns + ".hits", misses: ns + ".misses", merged: ns + ".merged",
+		diskHits: ns + ".disk_hits", fillNs: ns + ".fill_ns", waitNs: ns + ".wait_ns",
+	}}
+}
+
+// SetMetrics mirrors the cache counters into a telemetry registry under
+// the cache's namespace: <ns>.hits / .misses / .merged / .disk_hits
+// counters, a <ns>.fill_ns histogram over fill latency, and a
+// <ns>.wait_ns histogram over time spent blocked on another caller's
+// in-flight fill. Call it before sharing the cache between goroutines;
+// a nil registry detaches.
 func (c *Cache) SetMetrics(r *telemetry.Registry) {
 	c.mu.Lock()
 	c.metrics = r
@@ -205,20 +223,20 @@ func (c *Cache) Do(key string, fill func() (any, int64, error)) (any, error) {
 		case <-e.ready:
 			c.stats.Hits++
 			c.mu.Unlock()
-			m.Counter("buildcache.hits").Inc()
+			m.Counter(c.names.hits).Inc()
 		default:
 			c.stats.Merged++
 			c.mu.Unlock()
-			m.Counter("buildcache.merged").Inc()
+			m.Counter(c.names.merged).Inc()
 			t0 := time.Now()
 			<-e.ready
-			m.Histogram("buildcache.wait_ns").Observe(time.Since(t0))
+			m.Histogram(c.names.waitNs).Observe(time.Since(t0))
 		}
 		return e.val, e.err
 	}
 	e := &entry{ready: make(chan struct{})}
 	// Pre-set the failure waiters observe if fill panics out of this call.
-	e.err = fmt.Errorf("buildcache: build for key %.12s aborted", key)
+	e.err = fmt.Errorf("%s: fill for key %.12s aborted", c.ns, key)
 	c.entries[key] = e
 	c.stats.Entries++
 	backend, enc, dec := c.backend, c.enc, c.dec
@@ -251,7 +269,7 @@ func (c *Cache) Do(key string, fill func() (any, int64, error)) (any, error) {
 			c.stats.DiskHits++
 			c.stats.Bytes += n
 			c.mu.Unlock()
-			m.Counter("buildcache.disk_hits").Inc()
+			m.Counter(c.names.diskHits).Inc()
 			return v, true
 		}
 		if data, ok := backend.Get(key); ok {
@@ -274,10 +292,10 @@ func (c *Cache) Do(key string, fill func() (any, int64, error)) (any, error) {
 	c.mu.Lock()
 	c.stats.Misses++
 	c.mu.Unlock()
-	m.Counter("buildcache.misses").Inc()
+	m.Counter(c.names.misses).Inc()
 	fillStart := time.Now()
 	v, n, err := fill()
-	m.Histogram("buildcache.fill_ns").Observe(time.Since(fillStart))
+	m.Histogram(c.names.fillNs).Observe(time.Since(fillStart))
 	e.val, e.size, e.err = v, n, err
 	completed = true
 	c.mu.Lock()
@@ -296,12 +314,4 @@ func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
-}
-
-// Reset drops every entry and zeroes the counters.
-func (c *Cache) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = make(map[string]*entry)
-	c.stats = Stats{}
 }

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/core/telemetry"
 )
 
 func TestKeyIsLengthPrefixed(t *testing.T) {
@@ -205,17 +207,40 @@ func TestPanicInFillFailsWaiters(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	c := New()
-	c.Do("k", func() (any, int64, error) { return 1, 10, nil })
-	c.Reset()
-	if st := c.Stats(); st != (Stats{}) {
-		t.Errorf("stats after reset = %+v", st)
+// TestWarmHitAllocs pins the memory-tier hit path at zero allocations,
+// with and without a telemetry registry attached: the metric names are
+// built once per cache, not per call.
+func TestWarmHitAllocs(t *testing.T) {
+	for _, m := range []*telemetry.Registry{nil, telemetry.NewRegistry()} {
+		c := New()
+		c.SetMetrics(m)
+		fill := func() (any, int64, error) { return "v", 1, nil }
+		c.Do("k", fill)
+		if n := testing.AllocsPerRun(100, func() { c.Do("k", fill) }); n != 0 {
+			t.Errorf("metrics=%v: warm hit allocates %v times, want 0", m != nil, n)
+		}
 	}
-	fills := 0
-	c.Do("k", func() (any, int64, error) { fills++; return 1, 10, nil })
-	if fills != 1 {
-		t.Error("reset did not drop entries")
+}
+
+// TestNamespacedMetrics checks that a cache's telemetry lands under its
+// own namespace, so the build and run caches sharing one registry keep
+// separate counters.
+func TestNamespacedMetrics(t *testing.T) {
+	r := telemetry.NewRegistry()
+	b, o := New(), NewNamed("runcache")
+	b.SetMetrics(r)
+	o.SetMetrics(r)
+	fill := func() (any, int64, error) { return "v", 1, nil }
+	b.Do("k", fill)
+	o.Do("k", fill)
+	o.Do("k", fill)
+	for name, want := range map[string]uint64{
+		"buildcache.misses": 1, "buildcache.hits": 0,
+		"runcache.misses": 1, "runcache.hits": 1,
+	} {
+		if got := r.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 }
 

@@ -11,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/core/buildcache"
 )
 
 func testKey(s string) string {
@@ -191,13 +193,25 @@ func TestKillDuringWriteSweep(t *testing.T) {
 	}
 }
 
-// TestDoSingleflightGoroutines runs many same-key writers from one
-// process: exactly one fill must run, everyone gets the payload.
+// memo is the production path over a store: a build cache whose
+// persistent tier is s, with string payloads.
+func memo(s *Store) *buildcache.Cache {
+	c := buildcache.New()
+	enc := func(v any) ([]byte, bool) { str, ok := v.(string); return []byte(str), ok }
+	dec := func(data []byte) (any, int64, bool) { return string(data), int64(len(data)), true }
+	c.SetBackend(s, enc, dec)
+	return c
+}
+
+// TestDoSingleflightGoroutines runs many same-key callers from one
+// process through the cache over a store: exactly one fill must run,
+// everyone gets the value, and the store holds it.
 func TestDoSingleflightGoroutines(t *testing.T) {
 	s, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := memo(s)
 	key := testKey("flight")
 	var fills atomic.Int32
 	var wg sync.WaitGroup
@@ -205,13 +219,13 @@ func TestDoSingleflightGoroutines(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			data, _, err := s.Do(key, func() ([]byte, error) {
+			v, err := c.Do(key, func() (any, int64, error) {
 				fills.Add(1)
 				time.Sleep(20 * time.Millisecond)
-				return []byte("the one payload"), nil
+				return "the one payload", 15, nil
 			})
-			if err != nil || string(data) != "the one payload" {
-				t.Errorf("Do = %q, %v", data, err)
+			if err != nil || v != "the one payload" {
+				t.Errorf("Do = %v, %v", v, err)
 			}
 		}()
 	}
@@ -219,26 +233,38 @@ func TestDoSingleflightGoroutines(t *testing.T) {
 	if n := fills.Load(); n != 1 {
 		t.Fatalf("%d fills ran, want 1 (singleflight)", n)
 	}
+	if data, ok := s.Get(key); !ok || string(data) != "the one payload" {
+		t.Fatalf("store Get = %q, %v", data, ok)
+	}
+	if st := s.Stats(); st.Puts != 1 {
+		t.Fatalf("store puts = %d, want 1", st.Puts)
+	}
 }
 
+// TestDoErrorNotStored: a failed fill is cached in memory only; a
+// restarted process over the same store fills for real.
 func TestDoErrorNotStored(t *testing.T) {
 	s, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	key := testKey("err")
-	if _, _, err := s.Do(key, func() ([]byte, error) { return nil, fmt.Errorf("boom") }); err == nil {
+	if _, err := memo(s).Do(key, func() (any, int64, error) { return nil, 0, fmt.Errorf("boom") }); err == nil {
 		t.Fatal("fill error swallowed")
 	}
-	// The failure was not persisted; the next Do fills for real.
-	data, cached, err := s.Do(key, func() ([]byte, error) { return []byte("ok"), nil })
-	if err != nil || cached || string(data) != "ok" {
-		t.Fatalf("Do after error = %q, cached=%v, err=%v", data, cached, err)
+	if _, ok := s.Get(key); ok {
+		t.Fatal("failed fill was written to the store")
+	}
+	c := memo(s)
+	v, err := c.Do(key, func() (any, int64, error) { return "ok", 2, nil })
+	if err != nil || v != "ok" || c.Stats().Misses != 1 {
+		t.Fatalf("Do after error = %v, %v, stats %+v", v, err, c.Stats())
 	}
 }
 
-// TestDoTwoProcesses runs two whole processes racing Do on the same key
-// in a shared store: the flock must let exactly one fill run.
+// TestDoTwoProcesses runs two whole processes racing the cache's Do on
+// the same key in a shared store: the flock must let exactly one fill
+// run, and the other process must read the winner's entry.
 func TestDoTwoProcesses(t *testing.T) {
 	dir := t.TempDir()
 	run := func(out *[]byte, wg *sync.WaitGroup) {
@@ -264,6 +290,9 @@ func TestDoTwoProcesses(t *testing.T) {
 	if n := strings.Count(combined, "castore-helper: got the one payload"); n != 2 {
 		t.Fatalf("%d processes saw the payload, want 2:\n%s", n, combined)
 	}
+	if n := strings.Count(combined, "castore-helper: from store"); n != 1 {
+		t.Fatalf("%d processes read the winner's entry, want 1:\n%s", n, combined)
+	}
 }
 
 // TestCastoreHelperProcess is not a test: it is the subprocess body of
@@ -277,17 +306,21 @@ func TestCastoreHelperProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, _, err := s.Do(testKey("xproc"), func() ([]byte, error) {
+	c := memo(s)
+	v, err := c.Do(testKey("xproc"), func() (any, int64, error) {
 		fmt.Println("castore-helper: filled")
 		// Hold the key long enough that the sibling process arrives
 		// while the fill is in flight and must wait on the flock.
 		time.Sleep(300 * time.Millisecond)
-		return []byte("the one payload"), nil
+		return "the one payload", 15, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fmt.Printf("castore-helper: got %s\n", data)
+	fmt.Printf("castore-helper: got %s\n", v)
+	if c.Stats().DiskHits == 1 {
+		fmt.Println("castore-helper: from store")
+	}
 }
 
 // TestGCUnderByteBudget fills past a budget and checks the LRU sweep:

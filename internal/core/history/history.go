@@ -89,6 +89,16 @@ func Open(dir string) (*Store, error) {
 	if err := json.Unmarshal(data, &s.cells); err != nil {
 		return nil, fmt.Errorf("history: %s is corrupt: %w", FileName, err)
 	}
+	// JSON null decodes without error into a nil map or a nil cell,
+	// either of which every later method would dereference.
+	if s.cells == nil {
+		return nil, fmt.Errorf("history: %s is corrupt: null store", FileName)
+	}
+	for key, c := range s.cells {
+		if c == nil {
+			return nil, fmt.Errorf("history: %s is corrupt: null cell %q", FileName, key)
+		}
+	}
 	return s, nil
 }
 

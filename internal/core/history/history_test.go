@@ -3,6 +3,7 @@ package history
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -191,5 +192,24 @@ func TestSaveIsIdempotentWhenClean(t *testing.T) {
 	after, _ := os.ReadFile(filepath.Join(dir, FileName))
 	if string(before) != string(after) {
 		t.Fatal("no-op Save changed the file")
+	}
+}
+
+// TestOpenRejectsNullCells: JSON null decodes without error into a nil
+// map or a nil cell, so a store file holding one must be refused as
+// corrupt by Open rather than crash the first Order/Estimate/Record.
+func TestOpenRejectsNullCells(t *testing.T) {
+	for _, data := range []string{
+		`{"m/t@SC88-A/golden": null}`,
+		`{"m/t@SC88-A/golden": {"kind": "golden", "runs": 1}, "m/t@SC88-A/rtl": null}`,
+		`null`,
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, FileName), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "corrupt") {
+			t.Errorf("Open(%s) = %v, want a corrupt-store error", data, err)
+		}
 	}
 }

@@ -125,12 +125,8 @@ func TestBypassCounting(t *testing.T) {
 	c := New()
 	c.Bypass()
 	c.Bypass()
-	if st := c.Stats(); st.Bypassed != 2 {
-		t.Errorf("bypassed = %d", st.Bypassed)
-	}
-	c.Reset()
-	if st := c.Stats(); st.Bypassed != 0 || st.Entries != 0 {
-		t.Errorf("after reset: %+v", st)
+	if st := c.Stats(); st.Bypassed != 2 || st.Entries != 0 {
+		t.Errorf("stats = %+v, want 2 bypassed and no entries", st)
 	}
 }
 
@@ -157,7 +153,7 @@ func img(entry uint32, data ...byte) *obj.Image {
 	}
 }
 
-func TestImageHashAndCellKey(t *testing.T) {
+func TestImageHashAndOutcomeKey(t *testing.T) {
 	a := img(0, 1, 2, 3)
 	b := img(0, 1, 2, 3)
 	cDiff := img(0, 1, 2, 4)
@@ -165,27 +161,45 @@ func TestImageHashAndCellKey(t *testing.T) {
 		t.Error("identical images hash differently")
 	}
 	if ImageHash(a) != ImageHash(a) {
-		t.Error("memoised hash unstable")
+		t.Error("hash unstable")
 	}
 	if ImageHash(a) == ImageHash(cDiff) {
 		t.Error("different contents share a hash")
 	}
 
 	hw := soc.DefaultConfig()
-	base := CellKey(a, platform.KindRTL, hw, platform.RunSpec{})
-	if CellKey(b, platform.KindRTL, hw, platform.RunSpec{}) != base {
-		t.Error("key must depend on content, not image identity")
+	key := func(k platform.Kind, hw soc.HWConfig, spec platform.RunSpec) string {
+		return OutcomeKey("epoch", "UART", "t1", "SC88-A", k, hw, spec)
 	}
-	if CellKey(a, platform.KindGate, hw, platform.RunSpec{}) == base {
+	base := key(platform.KindRTL, hw, platform.RunSpec{})
+	if key(platform.KindRTL, hw, platform.RunSpec{}) != base {
+		t.Error("key is not deterministic")
+	}
+	if key(platform.KindGate, hw, platform.RunSpec{}) == base {
 		t.Error("key must depend on platform kind")
 	}
 	hw2 := hw
 	hw2.RamWait = 7
-	if CellKey(a, platform.KindRTL, hw2, platform.RunSpec{}) == base {
+	if key(platform.KindRTL, hw2, platform.RunSpec{}) == base {
 		t.Error("key must depend on hardware config")
 	}
-	if CellKey(a, platform.KindRTL, hw, platform.RunSpec{MaxInstructions: 5}) == base {
+	if key(platform.KindRTL, hw, platform.RunSpec{MaxInstructions: 5}) == base {
 		t.Error("key must depend on run bounds")
+	}
+}
+
+// TestWarmHitAllocs pins the memory-tier hit path at exactly the
+// caller's deep copy: the memo itself (singleflight lookup, counters,
+// the closure handed to it) allocates nothing on a hit.
+func TestWarmHitAllocs(t *testing.T) {
+	for _, m := range []*telemetry.Registry{nil, telemetry.NewRegistry()} {
+		c := New()
+		c.SetMetrics(m)
+		run := func() (*platform.Result, error) { return &platform.Result{MboxResult: 1}, nil }
+		c.Do("k", run)
+		if n := testing.AllocsPerRun(100, func() { c.Do("k", run) }); n != 1 {
+			t.Errorf("metrics=%v: warm hit allocates %v times, want 1 (the clone)", m != nil, n)
+		}
 	}
 }
 
@@ -208,22 +222,17 @@ func TestStatsStringZero(t *testing.T) {
 }
 
 // TestKeysEngineAgnostic pins the purity contract documented on
-// CellKey/OutcomeKey: execution engines are bit-identical, so the
-// engine knob must NOT reach either cache key — a result computed under
-// one engine is served to runs requesting any other.
+// OutcomeKey: execution engines are bit-identical, so the engine knob
+// must NOT reach the cache key — a result computed under one engine is
+// served to runs requesting any other.
 func TestKeysEngineAgnostic(t *testing.T) {
-	a := img(0, 1, 2, 3)
 	hw := soc.DefaultConfig()
 	engines := []platform.Engine{
 		platform.EngineDefault, platform.EngineInterp,
 		platform.EnginePredecode, platform.EngineTranslate,
 	}
-	cellBase := CellKey(a, platform.KindGolden, hw, platform.RunSpec{Engine: engines[0]})
 	outBase := OutcomeKey("e", "m", "t", "d", platform.KindGolden, hw, platform.RunSpec{Engine: engines[0]})
 	for _, e := range engines[1:] {
-		if CellKey(a, platform.KindGolden, hw, platform.RunSpec{Engine: e}) != cellBase {
-			t.Errorf("CellKey depends on engine %v", e)
-		}
 		if OutcomeKey("e", "m", "t", "d", platform.KindGolden, hw, platform.RunSpec{Engine: e}) != outBase {
 			t.Errorf("OutcomeKey depends on engine %v", e)
 		}
@@ -234,13 +243,13 @@ func TestKeysEngineAgnostic(t *testing.T) {
 	c := New()
 	runs := 0
 	spec := platform.RunSpec{Engine: platform.EngineInterp}
-	key := CellKey(a, platform.KindGolden, hw, spec)
+	key := OutcomeKey("e", "m", "t", "d", platform.KindGolden, hw, spec)
 	r1, hit1, err := c.Do(key, func() (*platform.Result, error) { runs++; return res(0xCAFE), nil })
 	if err != nil || hit1 {
 		t.Fatalf("first Do: hit=%v err=%v", hit1, err)
 	}
 	spec2 := platform.RunSpec{Engine: platform.EngineTranslate}
-	key2 := CellKey(a, platform.KindGolden, hw, spec2)
+	key2 := OutcomeKey("e", "m", "t", "d", platform.KindGolden, hw, spec2)
 	r2, hit2, err := c.Do(key2, func() (*platform.Result, error) { runs++; return res(0xDEAD), nil })
 	if err != nil || !hit2 {
 		t.Fatalf("cross-engine Do: hit=%v err=%v", hit2, err)
